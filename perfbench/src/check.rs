@@ -32,8 +32,10 @@ pub enum Expect {
     /// given, else every suggestion is a known rule whose `matches` equal
     /// its in-process execution.
     Suggest { column: Col },
-    /// Store-hit `/learn`: `cached:true`, byte-equal to the first one.
-    LearnHit { id: String },
+    /// Store-hit `/learn` of rule `id` on `column`: `cached:true`, the
+    /// stored rule, its in-process execution on the same cells, and
+    /// byte-equal to the first one.
+    LearnHit { id: String, column: Col },
     /// Cold `/learn` of `tasks[task]`.
     Learn { task: usize },
     /// `POST /session` over `tasks[task]`, opening session `slot`.
@@ -163,6 +165,9 @@ pub struct Memory {
     /// The reference service's `/suggest` payload per column (its store
     /// does not change, so one query per column suffices).
     reference_answers: HashMap<Col, String>,
+    /// Per single-class task learned cold: whether its rule, executed on
+    /// the full column, equals the ground truth.
+    pub exec: HashMap<usize, bool>,
 }
 
 /// The response checker of one phase.
@@ -176,9 +181,6 @@ pub struct Checker<'a> {
     reference: Option<&'a CornetService>,
     memory: &'a mut Memory,
     sessions: HashMap<usize, (BTreeSet<usize>, BTreeSet<usize>)>,
-    /// Single-class cold learns whose rule executes to the ground truth.
-    pub exec_matched: usize,
-    pub exec_total: usize,
 }
 
 impl<'a> Checker<'a> {
@@ -198,8 +200,6 @@ impl<'a> Checker<'a> {
             reference,
             memory,
             sessions: HashMap::new(),
-            exec_matched: 0,
-            exec_total: 0,
         }
     }
 
@@ -361,11 +361,18 @@ impl<'a> Checker<'a> {
                 }
                 Ok(Verdict::Ok { learner: false })
             }
-            Expect::LearnHit { id } => {
+            Expect::LearnHit { id, column } => {
                 let r: LearnResponse = cornet_serde::FromJson::from_json(payload(&doc, "learn")?)
                     .map_err(|e| e.message)?;
                 if !r.cached || &r.rule_id != id {
                     return Err("not answered from the store".into());
+                }
+                let (rule, set) = self.known(id).ok_or("store hit on a rule never stored")?;
+                if &r.rule != rule || r.rule_set.as_ref() != set {
+                    return Err("store hit returned another rule than the stored one".into());
+                }
+                if r.matches != matches_of(rule, set, &values_of(self.column(*column))) {
+                    return Err("matches differ from the in-process execution".into());
                 }
                 self.same_as_first_hit(id, &done.body)?;
                 Ok(Verdict::Ok { learner: false })
@@ -392,13 +399,10 @@ impl<'a> Checker<'a> {
                 }
                 if r.cached {
                     self.same_as_first_hit(&r.rule_id, &done.body)?;
-                } else {
-                    if let Some(truth) = &t.formatted {
-                        self.exec_total += 1;
-                        if &r.rule.execute(&values) == truth {
-                            self.exec_matched += 1;
-                        }
-                    }
+                } else if let Some(truth) = &t.formatted {
+                    self.memory
+                        .exec
+                        .insert(*task, &r.rule.execute(&values) == truth);
                 }
                 Ok(Verdict::Ok { learner: !r.cached })
             }

@@ -60,6 +60,22 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
+    // The child process `peak_rss_mb` is measured in.
+    let argv: Vec<String> = std::env::args().collect();
+    if let [_, flag, dir] = argv.as_slice() {
+        if flag == "--open-store" {
+            return match workloads::open_store_rss_mb(std::path::Path::new(dir)) {
+                Ok(mb) => {
+                    println!("{mb}");
+                    ExitCode::SUCCESS
+                }
+                Err(e) => {
+                    eprintln!("perfbench: {e}");
+                    ExitCode::FAILURE
+                }
+            };
+        }
+    }
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {

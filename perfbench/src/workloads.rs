@@ -1,12 +1,12 @@
-//! The three workloads, their request schedules and the end-to-end
+//! The two workloads, their request schedules and the end-to-end
 //! metrics. Why each workload exists, and which layer metric should move
 //! which end-to-end metric, is in `perfbench/README.md`.
 
-use crate::check::{Checker, Col, Expect, Memory, Verdict};
+use crate::check::{values_of, Checker, Col, Expect, Memory, Verdict};
 use crate::client::{self, Done, Kind, Req};
 use crate::inputs::{self, Seeded, Task};
 use crate::layers;
-use crate::stats::{median, percentile, Report};
+use crate::stats::{mean, median, percentile, Report};
 use crate::Args;
 use cornet_core::rule::Rule;
 use cornet_serve::service::{CornetService, ServiceConfig};
@@ -21,10 +21,10 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-pub const NAMES: [&str; 3] = ["serve_read", "learn_cold", "serve_write"];
+pub const NAMES: [&str; 2] = ["serve_read", "learn_cold"];
 
 /// Service restarts timed per run; `setup_s` is their median.
-const SETUPS: usize = 3;
+const SETUPS: usize = 7;
 
 /// Windows (rounds) each main phase is split into. The host shares its
 /// CPUs with other machines, whose load comes and goes in bursts that
@@ -41,7 +41,7 @@ const ROUNDS: usize = 10;
 const READ_RATES: [f64; 2] = [1000.0, 4000.0];
 
 /// Length of each saturated step that measures `capacity_rps` after the
-/// main phase of `learn_cold` and `serve_write`.
+/// main phase of `learn_cold`.
 const SATURATED_STEP_SECONDS: f64 = 0.3;
 
 /// `serve_read`'s hot set: store rules scored and re-learned by id, and
@@ -50,9 +50,11 @@ const SATURATED_STEP_SECONDS: f64 = 0.3;
 const HOT_RULES: usize = 128;
 const HOT_SUGGEST_COLUMNS: usize = 16;
 
-/// `serve_write`'s offered rate and its `/score` working set, 8× the LRU.
-const WRITE_RATE: f64 = 40.0;
-const WRITE_WORKING_SET: usize = 2048;
+/// Evaluation tasks each workload sends to the learner: about 20 s of
+/// closed-loop learning on a 2-core host. Fewer learns, or learns over a
+/// shorter span, leave `learn_p95_ms` and `correct_p50_ms` to the host's
+/// bursts.
+const EVAL_TASKS: usize = 300;
 
 /// Client threads and connections: at most `nproc`, and no more than two.
 fn client_threads() -> usize {
@@ -67,9 +69,6 @@ pub struct Plan {
     pub reqs: Vec<Req>,
     pub expects: Vec<Expect>,
     pub sessions: usize,
-    /// Single-class cold learns whose rule matched the ground truth, of
-    /// those checked; filled in once the plan ran.
-    pub exec: (usize, usize),
 }
 
 impl Plan {
@@ -83,11 +82,11 @@ impl Plan {
         self.expects.push(expect);
     }
 
-    /// A session over `tasks[task]` and its two corrections: `format` the
-    /// next truly formatted cell, then `unformat` a truly unformatted one,
-    /// so the corrected examples stay satisfiable. Corrections are due
-    /// `gap_us` apart (zero in a closed loop).
-    fn session(&mut self, tasks: &[Task], task: usize, due_us: u64, gap_us: u64) {
+    /// A session over `tasks[task]` and its three corrections: `format` the
+    /// next truly formatted cell, `unformat` a truly unformatted one, then
+    /// `format` the next truly formatted cell again, so the corrected
+    /// examples stay satisfiable. Closed loop only.
+    fn session(&mut self, tasks: &[Task], task: usize) {
         let t = &tasks[task];
         let slot = self.sessions;
         self.sessions += 1;
@@ -96,15 +95,16 @@ impl Plan {
             cornet_serde::to_string(&cornet_serde::ToJson::to_json(&t.cells)),
             t.examples
         );
-        self.add(Expect::Session { task, slot }, body, due_us, slot);
+        self.add(Expect::Session { task, slot }, body, 0, slot);
         let truth = t.formatted.as_ref().expect("sessions are single-class");
-        let extra = truth.iter_ones().find(|i| !t.examples.contains(i));
+        let mut extra = truth.iter_ones().filter(|i| !t.examples.contains(i));
         let off: Vec<usize> = (0..t.cells.len()).filter(|&i| !truth.get(i)).collect();
         let corrections = [
-            extra.map(|i| (vec![i], vec![])),
+            extra.next().map(|i| (vec![i], vec![])),
             off.get(task % off.len().max(1)).map(|&i| (vec![], vec![i])),
+            extra.next().map(|i| (vec![i], vec![])),
         ];
-        for (n, (format, unformat)) in corrections.into_iter().flatten().enumerate() {
+        for (format, unformat) in corrections.into_iter().flatten() {
             let body = format!("{{\"format\":{format:?},\"unformat\":{unformat:?}}}");
             let expect = Expect::Correct {
                 task,
@@ -112,7 +112,7 @@ impl Plan {
                 format,
                 unformat,
             };
-            self.add(expect, body, due_us + gap_us * (n as u64 + 1), slot);
+            self.add(expect, body, 0, slot);
         }
     }
 }
@@ -226,16 +226,15 @@ pub struct Run {
     pub service: Arc<CornetService>,
     pub server: Server,
     pub setup_s: Vec<f64>,
+    pub rss_mb: f64,
     memory: RefCell<Memory>,
 }
 
 impl Run {
-    /// Restarts the service over the store as it is now; `setup_s` is
-    /// measured again.
+    /// Restarts the service over the store as it is now.
     fn restart(&mut self) -> Result<(), String> {
         self.server.shutdown();
-        let (service, server, setup_s) = start(&self.store_dir)?;
-        (self.service, self.server, self.setup_s) = (service, server, setup_s);
+        (self.service, self.server) = open(&self.store_dir)?;
         Ok(())
     }
 
@@ -243,8 +242,8 @@ impl Run {
         self.server.addr()
     }
 
-    /// Runs `plan` and checks every answer. A closed loop (`deadline`)
-    /// uses one client; an open loop uses every client thread.
+    /// Runs `plan` and checks every answer. A closed loop (`deadline`, in
+    /// seconds) uses one client; an open loop uses every client thread.
     pub fn execute(
         &self,
         plan: Plan,
@@ -278,54 +277,78 @@ impl Run {
             .iter()
             .map(|d| checker.check(&plan.expects[d.req], d))
             .collect();
-        let exec = (checker.exec_matched, checker.exec_total);
-        let mut phase = Phase {
+        Ok(Phase {
             plan,
             done,
             verdicts,
             seconds: elapsed.as_secs_f64(),
-        };
-        phase.plan.exec = exec;
-        Ok(phase)
+        })
     }
 }
 
-/// Opens the service over the seeded store and starts the server: the
-/// restart a deployment pays. Timed [`SETUPS`] times; the last stays up.
+/// Opens the service over the store and starts the server: the restart a
+/// deployment pays.
+fn open(store_dir: &Path) -> Result<(Arc<CornetService>, Server), String> {
+    let service = Arc::new(
+        CornetService::new(&ServiceConfig {
+            store_dir: store_dir.to_path_buf(),
+            ..ServiceConfig::default()
+        })
+        .map_err(|e| format!("open service: {e}"))?,
+    );
+    let server = Server::start_with("127.0.0.1:0", Arc::clone(&service), ServerConfig::default())
+        .map_err(|e| format!("start server: {e}"))?;
+    Ok((service, server))
+}
+
+/// [`open`] timed [`SETUPS`] times; the last service stays up.
 fn start(store_dir: &Path) -> Result<(Arc<CornetService>, Server, Vec<f64>), String> {
     let mut times = Vec::new();
     let mut last = None;
     for _ in 0..SETUPS {
         drop(last.take());
         let t0 = Instant::now();
-        let service = Arc::new(
-            CornetService::new(&ServiceConfig {
-                store_dir: store_dir.to_path_buf(),
-                ..ServiceConfig::default()
-            })
-            .map_err(|e| format!("open service: {e}"))?,
-        );
-        let server =
-            Server::start_with("127.0.0.1:0", Arc::clone(&service), ServerConfig::default())
-                .map_err(|e| format!("start server: {e}"))?;
+        last = Some(open(store_dir)?);
         times.push(t0.elapsed().as_secs_f64());
-        last = Some((service, server));
     }
     let (service, server) = last.expect("at least one setup");
     Ok((service, server, times))
 }
 
-/// Peak resident set of this process (server and client), in MB.
-fn peak_rss_mb() -> f64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|kb| kb.parse::<f64>().ok())
-        })
-        .map_or(0.0, |kb| kb / 1024.0)
+/// The `--open-store` mode: opens the service over `store_dir`, starts
+/// and stops the server, and returns this process's peak resident set in
+/// MB.
+pub fn open_store_rss_mb(store_dir: &Path) -> Result<f64, String> {
+    let (_service, mut server) = open(store_dir)?;
+    server.shutdown();
+    let status = std::fs::read_to_string("/proc/self/status").map_err(|e| e.to_string())?;
+    status
+        .lines()
+        .find(|l| l.starts_with("VmHWM:"))
+        .and_then(|l| l.split_whitespace().nth(1))
+        .and_then(|kb| kb.parse::<f64>().ok())
+        .map(|kb| kb / 1024.0)
+        .ok_or_else(|| "no VmHWM in /proc/self/status".into())
+}
+
+/// `peak_rss_mb`: the peak resident set of a fresh process that opens the
+/// service over the seeded store, so the benchmark's own inputs, client
+/// and reference data are not in it.
+fn service_rss_mb(store_dir: &Path) -> Result<f64, String> {
+    let exe = std::env::current_exe().map_err(|e| format!("own executable: {e}"))?;
+    let out = std::process::Command::new(exe)
+        .arg("--open-store")
+        .arg(store_dir)
+        .output()
+        .map_err(|e| format!("--open-store: {e}"))?;
+    let text = String::from_utf8_lossy(&out.stdout);
+    match text.trim().parse::<f64>() {
+        Ok(mb) if out.status.success() => Ok(mb),
+        _ => Err(format!(
+            "--open-store failed: {}",
+            String::from_utf8_lossy(&out.stderr).trim()
+        )),
+    }
 }
 
 /// Removes the work directory however the run ends.
@@ -355,6 +378,7 @@ pub fn run(args: &Args) -> Result<Report, String> {
         .iter()
         .map(|s| (s.id.clone(), s.rule.clone()))
         .collect();
+    let rss_mb = service_rss_mb(&store_dir)?;
     let (service, server, setup_s) = start(&store_dir)?;
     let mut run = Run {
         work,
@@ -366,6 +390,7 @@ pub fn run(args: &Args) -> Result<Report, String> {
         service,
         server,
         setup_s,
+        rss_mb,
         memory: RefCell::default(),
     };
     let mut report = Report {
@@ -385,8 +410,7 @@ pub fn run(args: &Args) -> Result<Report, String> {
     };
     let result = match args.workload.as_str() {
         "serve_read" => serve_read(&mut run, args, &mut report),
-        "learn_cold" => learn_cold(&mut run, args, &mut report),
-        _ => serve_write(&mut run, args, &mut report),
+        _ => learn_cold(&mut run, args, &mut report),
     };
     run.server.shutdown();
     result?;
@@ -421,13 +445,21 @@ fn nonempty(samples: Vec<f64>) -> Option<Vec<f64>> {
 }
 
 /// The end-to-end metrics, in `BENCHMARK.json` order. `main` supplies the
-/// per-route latencies, split into windows; `learner` the learner-bound
-/// requests (the main phase itself unless that runs no learner);
-/// `capacity` the saturated completion rate.
-fn end_to_end(report: &mut Report, run: &Run, main: &[Window], learner: &Phase, capacity: f64) {
+/// per-route latencies, split into windows; `learner` the phases whose
+/// learner-bound requests give the learner metrics;
+/// `capacity` the saturated completion rate; `exec` the execution match
+/// and the number of tasks it is over.
+fn end_to_end(
+    report: &mut Report,
+    run: &Run,
+    main: &[Window],
+    learner: &[&Phase],
+    capacity: f64,
+    (exec, total): (f64, usize),
+) {
     let attempted = report.attempted.max(1) as f64;
     report.metric("setup_s", median(&run.setup_s), "s");
-    report.metric("peak_rss_mb", peak_rss_mb(), "MB");
+    report.metric("peak_rss_mb", run.rss_mb, "MB");
     report.metric(
         "ok_share",
         (attempted - report.failed as f64) / attempted,
@@ -453,14 +485,19 @@ fn end_to_end(report: &mut Report, run: &Run, main: &[Window], learner: &Phase, 
         over(main, |w| at(50.0)(w.cached_learns())),
         "us",
     );
-    let learns = learner.latencies(Kind::LearnCold, Some(true));
-    report.metric("learn_p50_ms", median(&learns) / 1e3, "ms");
-    report.metric("learn_p90_ms", percentile(&learns, 90.0) / 1e3, "ms");
-    let corrections = learner.latencies(Kind::Correct, None);
+    let pooled = |kind, ran| -> Vec<f64> {
+        learner
+            .iter()
+            .flat_map(|p| p.latencies(kind, ran))
+            .collect()
+    };
+    let learns = pooled(Kind::LearnCold, Some(true));
+    report.metric("learn_mean_ms", mean(&learns) / 1e3, "ms");
+    report.metric("learn_p95_ms", percentile(&learns, 95.0) / 1e3, "ms");
+    let corrections = pooled(Kind::Correct, None);
     report.metric("correct_p50_ms", median(&corrections) / 1e3, "ms");
     report.metric("capacity_rps", capacity, "1/s");
-    let (matched, total) = learner.plan.exec;
-    report.metric("exec_match", matched as f64 / total.max(1) as f64, "share");
+    report.metric("exec_match", exec, "share");
     let count = |f: &dyn Fn(&Window) -> usize| main.iter().map(f).sum::<usize>();
     report.notes.push(format!(
         "samples: score {} · suggest {} · cached learn {} in {} windows; cold learn {} · corrections {} · exec-match tasks {} · learner-bound {:.1}/s",
@@ -471,7 +508,8 @@ fn end_to_end(report: &mut Report, run: &Run, main: &[Window], learner: &Phase, 
         learns.len(),
         corrections.len(),
         total,
-        learner.learner_answers() as f64 / learner.seconds,
+        learner.iter().map(|p| p.learner_answers()).sum::<usize>() as f64
+            / learner.iter().map(|p| p.seconds).sum::<f64>(),
     ));
 }
 
@@ -503,13 +541,50 @@ fn saturated_capacity(run: &mut Run, seed: u64, report: &mut Report) -> Result<f
     Ok(median(&rates))
 }
 
-/// `count` cold tasks of stream `salt`, appended to the run's task table;
-/// returns their indices.
-fn add_tasks(run: &mut Run, seed: u64, salt: u64, count: usize) -> std::ops::Range<usize> {
-    let first = run.tasks.len();
-    run.tasks
-        .extend((0..count).map(|i| inputs::cold_task(seed, salt, i)));
-    first..run.tasks.len()
+/// Loads the first `n` evaluation tasks as the run's task table and
+/// returns them in the order `seed` gives.
+fn eval_order(run: &mut Run, seed: u64, n: usize) -> Vec<usize> {
+    run.tasks = inputs::eval_tasks(n);
+    let mut order: Vec<usize> = (0..n).collect();
+    order.shuffle(&mut StdRng::seed_from_u64(inputs::stream(seed, 0xE0)));
+    order
+}
+
+/// `exec_match` over the single-class plain learns among `tasks`, and how
+/// many those are. Each task's rule is the run's answer, or, for a task
+/// the run did not reach before its deadline, the same learn on a scratch
+/// service in-process, so the value is the same on every run.
+fn exec_match(run: &Run, tasks: &[usize]) -> Result<(f64, usize), String> {
+    let memory = run.memory.borrow();
+    let mut scratch = None;
+    let (mut matched, mut total) = (0, 0);
+    for &i in tasks {
+        let t = &run.tasks[i];
+        let Some(truth) = t.formatted.as_ref().filter(|_| !as_session(&run.tasks, i)) else {
+            continue;
+        };
+        total += 1;
+        let hit = match memory.exec.get(&i) {
+            Some(&hit) => hit,
+            None => {
+                if scratch.is_none() {
+                    scratch = Some(
+                        CornetService::new(&ServiceConfig {
+                            store_dir: run.work.join("exec-scratch"),
+                            ..ServiceConfig::default()
+                        })
+                        .map_err(|e| format!("scratch service: {e}"))?,
+                    );
+                }
+                let service = scratch.as_ref().expect("opened above");
+                service
+                    .learn(&t.request())
+                    .is_ok_and(|r| &r.rule.execute(&values_of(&t.cells)) == truth)
+            }
+        };
+        matched += usize::from(hit);
+    }
+    Ok((matched as f64 / total.max(1) as f64, total))
 }
 
 /// Whether cold task `i` of a stream is opened as a session instead of a
@@ -522,12 +597,12 @@ fn as_session(tasks: &[Task], i: usize) -> bool {
 /// client): learn from examples, or open a session and correct it twice;
 /// then score the learned rule on the column, ask for suggestions on it,
 /// and re-open it (a store-hit learn).
-fn interaction_plan(run: &Run, tasks: std::ops::Range<usize>, follow_ups: bool) -> Plan {
+fn interaction_plan(run: &Run, tasks: &[usize], follow_ups: bool) -> Plan {
     let mut plan = Plan::default();
-    for i in tasks {
+    for &i in tasks {
         let t = &run.tasks[i];
         if as_session(&run.tasks, i) {
-            plan.session(&run.tasks, i, 0, 0);
+            plan.session(&run.tasks, i);
             continue;
         }
         plan.add(Expect::Learn { task: i }, t.body(), 0, 0);
@@ -561,14 +636,12 @@ fn interaction_plan(run: &Run, tasks: std::ops::Range<usize>, follow_ups: bool) 
 }
 
 /// The paper's interaction: every `/learn` is a column the store has
-/// never seen.
+/// never seen. The loop ends when the tasks run out or at the deadline.
 fn learn_cold(run: &mut Run, args: &Args, report: &mut Report) -> Result<(), String> {
-    // Enough tasks that the deadline, not the schedule, ends the loop.
-    let budget = (args.seconds * 60.0) as usize + 50;
+    let order = eval_order(run, args.seed, EVAL_TASKS);
     if args.trace {
         let half = args.seconds / 2.0;
-        let first = add_tasks(run, args.seed, 0xC0, budget);
-        let second = add_tasks(run, args.seed, 0xC1, budget);
+        let (first, second) = order.split_at(order.len() / 2);
         let untraced = run.execute(interaction_plan(run, first, true), Some(half), None)?;
         account(report, &untraced);
         let traced = layers::traced(run, || {
@@ -577,11 +650,22 @@ fn learn_cold(run: &mut Run, args: &Args, report: &mut Report) -> Result<(), Str
         account(report, &traced.phase);
         return layers::report(report, run, &untraced, traced, Kind::LearnCold);
     }
-    let tasks = add_tasks(run, args.seed, 0xC0, budget);
-    let phase = run.execute(interaction_plan(run, tasks, true), Some(args.seconds), None)?;
+    let phase = run.execute(
+        interaction_plan(run, &order, true),
+        Some(args.seconds),
+        None,
+    )?;
     account(report, &phase);
+    let exec = exec_match(run, &order)?;
     let capacity = saturated_capacity(run, args.seed, report)?;
-    end_to_end(report, run, &phase.windows(ROUNDS), &phase, capacity);
+    end_to_end(
+        report,
+        run,
+        &phase.windows(ROUNDS),
+        &[&phase],
+        capacity,
+        exec,
+    );
     Ok(())
 }
 
@@ -605,6 +689,7 @@ fn read_plan(run: &Run, hot: &[usize], rng: &mut StdRng, rate: f64, seconds: f64
             plan.add(
                 Expect::LearnHit {
                     id: seeded.id.clone(),
+                    column: Col::Seeded(s),
                 },
                 seeded.learn_body(),
                 due,
@@ -631,16 +716,21 @@ fn serve_read(run: &mut Run, args: &Args, report: &mut Report) -> Result<(), Str
     let mut rng = StdRng::seed_from_u64(inputs::stream(args.seed, 0xAD));
     let hot = hot_set(run, args.seed, &mut rng);
 
-    // Learner-bound traffic happens before the reads: the hot columns'
-    // owners learned and corrected their rules first. It is the source of
+    // Learner-bound traffic brackets the reads: the hot columns' owners
+    // learn and correct rules before and after them. It is the source of
     // this workload's learner metrics and is not part of the read phase.
-    let warm_seconds = args.seconds * 0.25;
-    let tasks = add_tasks(run, args.seed, 0xAE, (warm_seconds * 60.0) as usize + 20);
-    let warm = run.execute(
-        interaction_plan(run, tasks, false),
-        Some(warm_seconds),
-        None,
-    )?;
+    // Split in two, it spans the run rather than one stretch of the host's
+    // load. A fixed set of tasks, with `--seconds` only as a cap.
+    let order = eval_order(run, args.seed, EVAL_TASKS);
+    let (before, after) = order.split_at(order.len() / 2);
+    let learner_phase = |run: &Run, tasks: &[usize]| {
+        run.execute(
+            interaction_plan(run, tasks, false),
+            Some(args.seconds / 2.0),
+            None,
+        )
+    };
+    let warm = learner_phase(run, before)?;
     account(report, &warm);
 
     // The reads are served by a restarted service, and a reference
@@ -666,7 +756,7 @@ fn serve_read(run: &mut Run, args: &Args, report: &mut Report) -> Result<(), Str
     let touched = run.execute(touch, None, None)?;
     account(report, &touched);
 
-    let read_seconds = args.seconds * 0.75;
+    let read_seconds = args.seconds * 0.6;
     if args.trace {
         let rate = READ_RATES[0];
         let plan = read_plan(run, &hot, &mut rng, rate, read_seconds / 2.0);
@@ -707,114 +797,9 @@ fn serve_read(run: &mut Run, args: &Args, report: &mut Report) -> Result<(), Str
         READ_RATES[1]
     ));
     let capacity = over(&top, |w| Some(w.rate()));
-    end_to_end(report, run, &main, &warm, capacity);
-    Ok(())
-}
-
-/// Writes beside reads at a modest fixed rate.
-fn serve_write_plan(run: &mut Run, seed: u64, salt: u64, seconds: f64) -> Plan {
-    let mut rng = StdRng::seed_from_u64(inputs::stream(seed, salt));
-    let mut working: Vec<usize> = (0..run.seeded.len()).collect();
-    working.shuffle(&mut rng);
-    working.truncate(WRITE_WORKING_SET);
-    let first_column = run.suggest_columns.len();
-    run.suggest_columns
-        .extend((0..64).map(|i| inputs::suggest_column(inputs::stream(seed, salt), i)));
-    // One cycle of 40 events: 28 scores, 6 suggests, 2 store-hit learns,
-    // 2 cold learns, 1 identical cold pair and 1 session (whose two
-    // corrections follow 1 s and 2 s later).
-    let mut cycle: Vec<u8> = [
-        vec![b's'; 28],
-        vec![b'g'; 6],
-        vec![b'h'; 2],
-        vec![b'c'; 2],
-        vec![b'p'],
-        vec![b'n'],
-    ]
-    .concat();
-    let events = (WRITE_RATE * seconds) as usize;
-    let tasks = add_tasks(run, seed, salt ^ 0xF, events / cycle.len() * 5 + 5);
-    let mut next_task = tasks.start;
-    let mut plan = Plan::default();
-    for e in 0..events {
-        if e % cycle.len() == 0 {
-            cycle.shuffle(&mut rng);
-        }
-        let due = (e as f64 * 1e6 / WRITE_RATE) as u64;
-        match cycle[e % cycle.len()] {
-            b's' | b'h' => {
-                let s = working[rng.gen_range(0..working.len())];
-                let seeded = &run.seeded[s];
-                if cycle[e % cycle.len()] == b's' {
-                    let expect = Expect::Score {
-                        id: seeded.id.clone(),
-                        column: Col::Seeded(s),
-                    };
-                    plan.add(expect, seeded.score_body(), due, 0);
-                } else {
-                    plan.add(
-                        Expect::LearnHit {
-                            id: seeded.id.clone(),
-                        },
-                        seeded.learn_body(),
-                        due,
-                        0,
-                    );
-                }
-            }
-            b'g' => {
-                let c = first_column + rng.gen_range(0..64);
-                let body = inputs::suggest_body(&run.suggest_columns[c]);
-                plan.add(
-                    Expect::Suggest {
-                        column: Col::Suggest(c),
-                    },
-                    body,
-                    due,
-                    0,
-                );
-            }
-            kind => {
-                let task = next_task;
-                next_task += 1;
-                if kind == b'n' && !run.tasks[task].is_multi() {
-                    plan.session(&run.tasks, task, due, 1_000_000);
-                } else {
-                    let copies = if kind == b'p' { 2 } else { 1 };
-                    for _ in 0..copies {
-                        plan.add(Expect::Learn { task }, run.tasks[task].body(), due, 0);
-                    }
-                }
-            }
-        }
-    }
-    // Corrections were appended out of due order; the client takes
-    // requests in schedule order.
-    let mut order: Vec<usize> = (0..plan.reqs.len()).collect();
-    order.sort_by_key(|&i| plan.reqs[i].due_us);
-    Plan {
-        reqs: order.iter().map(|&i| plan.reqs[i].clone()).collect(),
-        expects: order.iter().map(|&i| plan.expects[i].clone()).collect(),
-        sessions: plan.sessions,
-        exec: (0, 0),
-    }
-}
-
-fn serve_write(run: &mut Run, args: &Args, report: &mut Report) -> Result<(), String> {
-    if args.trace {
-        let half = args.seconds / 2.0;
-        let plan = serve_write_plan(run, args.seed, 0xB0, half);
-        let untraced = run.execute(plan, None, None)?;
-        account(report, &untraced);
-        let plan = serve_write_plan(run, args.seed, 0xB1, half);
-        let traced = layers::traced(run, || run.execute(plan, None, None))?;
-        account(report, &traced.phase);
-        return layers::report(report, run, &untraced, traced, Kind::Score);
-    }
-    let plan = serve_write_plan(run, args.seed, 0xB0, args.seconds);
-    let phase = run.execute(plan, None, None)?;
-    account(report, &phase);
-    let capacity = saturated_capacity(run, args.seed, report)?;
-    end_to_end(report, run, &phase.windows(ROUNDS), &phase, capacity);
+    let cool = learner_phase(run, after)?;
+    account(report, &cool);
+    let exec = exec_match(run, &order)?;
+    end_to_end(report, run, &main, &[&warm, &cool], capacity, exec);
     Ok(())
 }
