@@ -119,6 +119,7 @@ fn service_throughput(c: &mut Criterion) {
                     .score(&ScoreRequest {
                         rule_id: Some(rule_ids[i].clone()),
                         rule: None,
+                        rule_set: None,
                         cells: requests[i].cells.clone(),
                     })
                     .map(|r| r.matches.len())

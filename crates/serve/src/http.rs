@@ -1,30 +1,29 @@
 //! A keep-alive HTTP/1.1 front-end over [`CornetService`] built on
 //! `std::net`, designed for sustained concurrent traffic.
 //!
-//! ## Architecture: continuous per-connection scheduling
+//! ## Architecture: an epoll reactor and a worker pool
 //!
-//! Three kinds of threads cooperate around a connection registry:
+//! * The **reactor thread** sleeps in `epoll_wait` (Linux) until a socket
+//!   is readable or the earliest deadline is due, so an idle server makes
+//!   no wake-ups. It accepts from the listener in the same epoll set, and
+//!   beyond [`ServerConfig::max_connections`] live sockets sheds new ones
+//!   with a clean `503` + `Retry-After` (never a silent drop). Connections
+//!   waiting for bytes are *parked* in a map keyed by connection id and
+//!   armed one-shot, level-triggered: an event disarms the socket, the
+//!   reactor reads what arrived, and either queues the connection for a
+//!   worker (a complete request or a protocol error is buffered) or
+//!   re-arms it. An idle keep-alive socket therefore never pins a worker.
+//! * **Worker threads** drain every complete pipelined request of a ready
+//!   connection *in order* (HTTP/1.1 pipelining requires arrival-order
+//!   responses), then park and re-arm it themselves; the re-arm re-polls
+//!   the socket, so bytes that arrived meanwhile are reported at once.
+//!   `/batch` fans its items onto `cornet-pool`.
 //!
-//! * The **accept thread** enforces the hard connection cap: beyond
-//!   [`ServerConfig::max_connections`] live sockets, new connections are
-//!   shed with a clean `503` + `Retry-After` response (never a silent
-//!   drop). Admitted sockets are switched to non-blocking mode and handed
-//!   to the poller.
-//! * The **poller thread** owns every idle connection. It reads whatever
-//!   bytes have arrived into each connection's input buffer and hands the
-//!   connection to the worker queue the moment the buffer holds one
-//!   complete request (or a protocol error). An idle keep-alive socket
-//!   therefore never pins a worker — the old wave-dispatch design, where
-//!   a worker blocked on each socket's next request, is gone. The poller
-//!   also enforces the two timeouts: a per-request deadline (a partial
-//!   request must complete within [`ServerConfig::request_timeout`] —
-//!   slow-loris clients get a `408` and are dropped) and a keep-alive
-//!   idle timeout.
-//! * **Worker threads** pop ready connections, drain every complete
-//!   pipelined request from the buffer *in order* (responses are written
-//!   in arrival order, as HTTP/1.1 pipelining requires), then return the
-//!   connection to the poller. Heavy in-request parallelism (`/batch`)
-//!   still fans onto `cornet-pool`.
+//! A deadline heap on the reactor reaps parked connections: a partial
+//! request must complete within [`ServerConfig::request_timeout`]
+//! (slow-loris clients get a `408`), an idle keep-alive socket lives for
+//! [`ServerConfig::keep_alive`]. An `eventfd` wakes the reactor at
+//! shutdown, or when a worker parks a connection due before any other.
 //!
 //! ## Protocol subset
 //!
@@ -64,15 +63,18 @@
 //! keep-alive reuse is visible in the log stream), and the request id
 //! (so log lines join against trace events).
 
-use crate::service::{
-    BatchItem, ClassRequest, CornetService, LearnRequest, ScoreRequest, ServeError,
+use crate::epoll::{
+    Epoll, EpollEvent, EPOLLIN, EPOLLONESHOT, EPOLLRDHUP, EPOLL_CTL_ADD, EPOLL_CTL_MOD,
 };
+use crate::service::{BatchItem, CornetService, LearnRequest, ScoreRequest, ServeError};
 use crate::suggest::SuggestRequest;
-use cornet_obs::{Counter, Gauge, StageTimer};
+use cornet_obs::{Counter, Gauge, Histogram, StageTimer};
 use cornet_serde::{envelope, to_string, FromJson, Json, ToJson};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -81,11 +83,12 @@ use std::time::{Duration, Instant};
 pub const MAX_HEAD: usize = 16 * 1024;
 /// Request-body size cap (larger `Content-Length` values get a `413`).
 pub const MAX_BODY: usize = 8 * 1024 * 1024;
-/// How long the poller sleeps when no connection had activity.
-const POLL_TICK: Duration = Duration::from_micros(500);
-/// Per-tick read cap per connection, so one firehose client cannot
-/// starve the poll loop.
+/// Per-event read cap per connection, so one firehose client cannot
+/// starve the reactor (the re-arm reports the rest at once).
 const READ_BURST: usize = 64 * 1024;
+/// How long the listener stays disarmed after a failed `accept`
+/// (typically fd exhaustion), instead of spinning on it.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(20);
 /// Socket timeout used by the bundled client helpers.
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
 
@@ -99,9 +102,8 @@ const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 // ---------------------------------------------------------------------------
 
 /// Process-wide HTTP front-end metrics (global registry; see
-/// `crates/obs`). Per-route families are looked up per request by label
-/// through the registry — route labels are the fixed normalized set of
-/// [`route_label`], so the family count stays bounded.
+/// `crates/obs`). Per-route series sit in [`route_histogram`]'s and
+/// [`count_request`]'s caches.
 struct HttpMetrics {
     inflight: Gauge,
     connections: Gauge,
@@ -134,6 +136,16 @@ fn http_metrics() -> &'static HttpMetrics {
     })
 }
 
+/// Every label [`route_label`] returns.
+#[rustfmt::skip]
+const ROUTES: [&str; 12] = [
+    "/health", "/metrics", "/learn", "/score", "/suggest", "/batch", "/session",
+    "/session/:id", "/session/:id/correct", "/rules/:id", "/admin/pack", "unmatched",
+];
+
+/// Every status the front-end answers with.
+const STATUSES: [u16; 9] = [200, 400, 404, 405, 408, 413, 422, 500, 503];
+
 /// Normalizes a request to its route label for metrics: parameterized
 /// segments collapse (`/session/s7` → `/session/:id`) so label
 /// cardinality never grows with traffic; anything unroutable is
@@ -156,24 +168,43 @@ fn route_label(method: &str, path: &str) -> &'static str {
     }
 }
 
+/// The index of a [`route_label`] label in [`ROUTES`].
+fn route_index(label: &str) -> usize {
+    let index = ROUTES.iter().position(|r| *r == label);
+    index.expect("labels come from route_label")
+}
+
 /// The per-route latency histogram (`cornet_http_request_duration_seconds`).
-fn route_histogram(label: &'static str) -> cornet_obs::Histogram {
-    cornet_obs::registry().histogram_with(
-        "cornet_http_request_duration_seconds",
-        "Request handling latency (routing + response write), by route.",
-        &[("route", label)],
-    )
+/// Per-route series are resolved from the registry on first use (so
+/// `/metrics` lists one once it has a sample) and then reused: no registry
+/// lock or label allocation per request.
+fn route_histogram(label: &'static str) -> Histogram {
+    static CACHE: [OnceLock<Histogram>; ROUTES.len()] = [const { OnceLock::new() }; ROUTES.len()];
+    let histogram = CACHE[route_index(label)].get_or_init(|| {
+        cornet_obs::registry().histogram_with(
+            "cornet_http_request_duration_seconds",
+            "Request handling latency (routing + response write), by route.",
+            &[("route", label)],
+        )
+    });
+    histogram.clone()
 }
 
 /// Counts one finished request in `cornet_http_requests_total{route,status}`.
 fn count_request(label: &'static str, status: u16) {
-    cornet_obs::registry()
-        .counter_with(
+    static CACHE: [[OnceLock<Counter>; STATUSES.len()]; ROUTES.len()] =
+        [const { [const { OnceLock::new() }; STATUSES.len()] }; ROUTES.len()];
+    let resolve = || {
+        cornet_obs::registry().counter_with(
             "cornet_http_requests_total",
             "Requests served, by route and response status.",
             &[("route", label), ("status", &status.to_string())],
         )
-        .inc();
+    };
+    match STATUSES.iter().position(|s| *s == status) {
+        Some(i) => CACHE[route_index(label)][i].get_or_init(resolve).inc(),
+        None => resolve().inc(),
+    }
 }
 
 /// Process-unique request id, threaded through [`RequestRecord`] and
@@ -357,9 +388,10 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes an HTTP/1.1 response. `retry_after` adds a `Retry-After`
-/// header (load-shedding responses carry one); `content_type` is
-/// [`JSON_CONTENT_TYPE`] everywhere except `/metrics`.
+/// Writes an HTTP/1.1 response, head and body in one write (one segment
+/// for a small response on a `TCP_NODELAY` socket). `retry_after` adds a
+/// `Retry-After` header (load-shedding responses carry one);
+/// `content_type` is [`JSON_CONTENT_TYPE`] everywhere except `/metrics`.
 fn respond(
     stream: &mut impl Write,
     status: u16,
@@ -370,21 +402,13 @@ fn respond(
 ) -> io::Result<()> {
     let connection = if close { "close" } else { "keep-alive" };
     let retry = retry_after.map_or(String::new(), |secs| format!("Retry-After: {secs}\r\n"));
-    let head = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{retry}Connection: {connection}\r\n\r\n",
+    let response = format!(
+        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\n{retry}Connection: {connection}\r\n\r\n{body}",
         reason(status),
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(response.as_bytes())?;
     stream.flush()
-}
-
-/// Writes a closing HTTP/1.1 response with a JSON body (the one-shot
-/// compatibility surface; the server's keep-alive path uses the richer
-/// internal writer).
-pub fn write_response(stream: &mut TcpStream, status: u16, body: &str) -> io::Result<()> {
-    respond(stream, status, body, true, None, JSON_CONTENT_TYPE)
 }
 
 fn error_body(status: u16, message: &str) -> String {
@@ -410,7 +434,7 @@ fn parse_body(body: &str) -> Result<Json, ServeError> {
 }
 
 fn decode_request<T: FromJson>(body: &str) -> Result<T, ServeError> {
-    T::from_json(&parse_body(body)?).map_err(|e| ServeError::BadRequest(e.message))
+    Ok(T::from_json(&parse_body(body)?)?)
 }
 
 /// Routes one request to the service. Returns `(status, body)`.
@@ -439,8 +463,7 @@ fn handle(service: &CornetService, request: &Request) -> Result<(&'static str, J
         }
         ("POST", ["batch"]) => {
             let doc = parse_body(&request.body)?;
-            let items: Vec<BatchItem> = cornet_serde::field_t(&doc, "items")
-                .map_err(|e| ServeError::BadRequest(e.message))?;
+            let items: Vec<BatchItem> = cornet_serde::field_t(&doc, "items")?;
             let results: Vec<Json> = service
                 .batch(&items)
                 .into_iter()
@@ -456,14 +479,9 @@ fn handle(service: &CornetService, request: &Request) -> Result<(&'static str, J
         }
         ("POST", ["session"]) => {
             let doc = parse_body(&request.body)?;
-            let cells: Vec<String> = cornet_serde::field_t(&doc, "cells")
-                .map_err(|e| ServeError::BadRequest(e.message))?;
-            let examples: Vec<usize> = cornet_serde::optional_field_t(&doc, "examples")
-                .map_err(|e| ServeError::BadRequest(e.message))?
-                .unwrap_or_default();
-            let classes: Vec<ClassRequest> = cornet_serde::optional_field_t(&doc, "classes")
-                .map_err(|e| ServeError::BadRequest(e.message))?
-                .unwrap_or_default();
+            let cells: Vec<String> = cornet_serde::field_t(&doc, "cells")?;
+            let examples = cornet_serde::optional_field_t(&doc, "examples")?.unwrap_or_default();
+            let classes = cornet_serde::optional_field_t(&doc, "classes")?.unwrap_or_default();
             Ok((
                 "session",
                 service.session_create(cells, examples, classes)?.to_json(),
@@ -472,15 +490,10 @@ fn handle(service: &CornetService, request: &Request) -> Result<(&'static str, J
         ("GET", ["session", id]) => Ok(("session", service.session_get(id)?.to_json())),
         ("POST", ["session", id, "correct"]) => {
             let doc = parse_body(&request.body)?;
-            let read_list = |key: &str| -> Result<Vec<usize>, ServeError> {
-                Ok(cornet_serde::optional_field_t(&doc, key)
-                    .map_err(|e| ServeError::BadRequest(e.message))?
-                    .unwrap_or_default())
-            };
-            let format = read_list("format")?;
-            let unformat = read_list("unformat")?;
-            let class: Option<usize> = cornet_serde::optional_field_t(&doc, "class")
-                .map_err(|e| ServeError::BadRequest(e.message))?;
+            let read_list = |key: &str| cornet_serde::optional_field_t::<Vec<usize>>(&doc, key);
+            let format = read_list("format")?.unwrap_or_default();
+            let unformat = read_list("unformat")?.unwrap_or_default();
+            let class: Option<usize> = cornet_serde::optional_field_t(&doc, "class")?;
             Ok((
                 "session",
                 service
@@ -586,14 +599,12 @@ impl RequestLog for VecLog {
 // Server
 // ---------------------------------------------------------------------------
 
-/// Server tuning knobs. [`ServerConfig::from_env`] reads the
-/// `CORNET_MAX_CONNS`, `CORNET_KEEP_ALIVE_SECS`,
-/// `CORNET_REQUEST_TIMEOUT_SECS` and `CORNET_HTTP_WORKERS` environment
-/// variables on top of these defaults.
+/// Server tuning knobs ([`ServerConfig::from_env`] reads environment
+/// overrides of these defaults).
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Hard cap on live connections; beyond it the accept thread sheds
-    /// new sockets with `503` + `Retry-After`.
+    /// Hard cap on live connections; beyond it the reactor sheds new
+    /// sockets with `503` + `Retry-After`.
     pub max_connections: usize,
     /// How long an idle keep-alive connection may sit between requests.
     pub keep_alive: Duration,
@@ -662,9 +673,8 @@ impl ServerConfig {
     }
 }
 
-/// Decrements the live-connection counter (and the connections gauge)
-/// when a connection dies, however it dies — the accept thread's cap
-/// check reads this counter.
+/// Decrements the live-connection counter (the reactor's cap check reads
+/// it) and the connections gauge when a connection dies, however it dies.
 struct ConnPermit(Arc<AtomicUsize>);
 
 impl Drop for ConnPermit {
@@ -679,97 +689,136 @@ struct Conn {
     id: u64,
     stream: TcpStream,
     buf: Vec<u8>,
-    /// Set while a partial request sits in `buf` (the slow-loris clock).
-    started: Option<Instant>,
-    /// Last time the connection went idle (the keep-alive clock).
-    idle_since: Instant,
+    /// When the connection is reaped if still parked: the keep-alive
+    /// deadline while `buf` is empty, else the slow-loris one (`408`).
+    deadline: Instant,
+    /// When this connection's pending deadline-heap entry is due, if any.
+    scheduled: Option<Instant>,
     _permit: ConnPermit,
 }
 
-/// State shared between the accept thread, the poller and the workers.
+/// Epoll keys of the listener and the wake-up eventfd; connection ids lie between.
+const LISTENER: u64 = 0;
+const WAKE: u64 = u64::MAX;
+const CONN_EVENTS: u32 = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
+
+/// Connections waiting for bytes, and a `(due, key)` deadline min-heap. An
+/// entry is live while it equals its connection's `scheduled` (stale ones
+/// are skipped); each parked connection has a live entry due by its deadline.
+#[derive(Default)]
+struct Parked {
+    conns: HashMap<u64, Conn>,
+    deadlines: BinaryHeap<Reverse<(Instant, u64)>>,
+}
+
+/// State shared between the reactor and the workers.
 struct Shared {
+    config: ServerConfig,
     stop: AtomicBool,
     /// Connections with a complete request buffered, awaiting a worker.
     ready: Mutex<VecDeque<Conn>>,
     ready_cv: Condvar,
-    /// Connections handed back to the poller (newly accepted or drained).
-    returned: Mutex<Vec<Conn>>,
+    parked: Mutex<Parked>,
+    epoll: Epoll,
 }
 
-/// What the poller decided about one idle connection this tick.
-enum PollVerdict {
-    Idle,
-    Dispatch,
-    Drop,
+impl Shared {
+    /// Parks `conn` and arms it (`op` adds or re-arms the socket) under one
+    /// lock, so the reactor never sees an event for an absent connection.
+    /// A pending heap entry due by the new deadline covers it; otherwise a
+    /// new one is pushed, waking the reactor if it is the earliest.
+    fn park(&self, mut conn: Conn, op: i32) {
+        let (id, fd, deadline) = (conn.id, conn.stream.as_raw_fd(), conn.deadline);
+        let mut parked = self.parked.lock().unwrap();
+        let now = Instant::now();
+        let mut earliest = false;
+        if !matches!(conn.scheduled, Some(due) if now < due && due <= deadline) {
+            earliest = parked.deadlines.peek().is_none_or(|e| deadline < e.0 .0);
+            parked.deadlines.push(Reverse((deadline, id)));
+            conn.scheduled = Some(deadline);
+        }
+        parked.conns.insert(id, conn);
+        if self.epoll.ctl(op, fd, CONN_EVENTS, id).is_err() {
+            parked.conns.remove(&id);
+        } else if earliest {
+            drop(parked);
+            self.epoll.wake();
+        }
+    }
+
+    /// The next connection with a complete request; `None` at shutdown.
+    fn next_ready(&self) -> Option<Conn> {
+        let mut ready = self.ready.lock().unwrap();
+        loop {
+            if let Some(conn) = ready.pop_front() {
+                return Some(conn);
+            }
+            if self.stop.load(Ordering::SeqCst) {
+                return None;
+            }
+            ready = self.ready_cv.wait(ready).unwrap();
+        }
+    }
 }
 
-fn poll_conn(conn: &mut Conn, config: &ServerConfig) -> PollVerdict {
+/// Reads what a parked connection received, then queues it for a worker
+/// (a request or protocol error is complete), parks it again, or drops it.
+fn poll_conn(mut conn: Conn, shared: &Shared) {
+    let before = conn.buf.len();
     let mut chunk = [0u8; 4096];
-    let mut read = 0usize;
     loop {
         match conn.stream.read(&mut chunk) {
             // A peer close with a partial request pending is a
             // mid-request disconnect; either way the connection is done.
-            Ok(0) => return PollVerdict::Drop,
+            Ok(0) => return,
             Ok(n) => {
                 conn.buf.extend_from_slice(&chunk[..n]);
-                read += n;
-                if read >= READ_BURST {
+                if conn.buf.len() - before >= READ_BURST {
                     break;
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(_) => return PollVerdict::Drop,
+            Err(_) => return,
         }
     }
-    if read > 0 && conn.started.is_none() {
-        conn.started = Some(Instant::now());
+    if parse_request(&conn.buf) != ParseOutcome::Incomplete {
+        shared.ready.lock().unwrap().push_back(conn);
+        shared.ready_cv.notify_one();
+        return;
     }
-    if !conn.buf.is_empty() {
-        match parse_request(&conn.buf) {
-            ParseOutcome::Incomplete => {
-                if let Some(t0) = conn.started {
-                    if t0.elapsed() > config.request_timeout {
-                        // Slow loris: the request never completed. Tell
-                        // the client (best effort on the non-blocking
-                        // socket) and reclaim the connection.
-                        let body = error_body(408, "request did not complete in time");
-                        let _ =
-                            respond(&mut conn.stream, 408, &body, true, None, JSON_CONTENT_TYPE);
-                        http_metrics().timeouts.inc();
-                        count_request("unmatched", 408);
-                        config.log.record(&RequestRecord {
-                            conn: conn.id,
-                            request_id: next_request_id(),
-                            method: "-".into(),
-                            path: "-".into(),
-                            status: 408,
-                            micros: 0,
-                        });
-                        return PollVerdict::Drop;
-                    }
-                }
-                PollVerdict::Idle
-            }
-            _ => PollVerdict::Dispatch,
-        }
-    } else if conn.idle_since.elapsed() > config.keep_alive {
-        PollVerdict::Drop
-    } else {
-        PollVerdict::Idle
+    if before == 0 && !conn.buf.is_empty() {
+        conn.deadline = Instant::now() + shared.config.request_timeout;
     }
+    shared.park(conn, EPOLL_CTL_MOD);
+}
+
+/// Answers a request that is not routed — a protocol error or a slow
+/// loris — with `status`, and closes.
+fn reject(conn: Conn, status: u16, message: &str, shared: &Shared) {
+    let Conn { id, mut stream, .. } = conn;
+    let body = error_body(status, message);
+    let _ = respond(&mut stream, status, &body, true, None, JSON_CONTENT_TYPE);
+    count_request("unmatched", status);
+    shared.config.log.record(&RequestRecord {
+        conn: id,
+        request_id: next_request_id(),
+        method: "-".into(),
+        path: "-".into(),
+        status,
+        micros: 0,
+    });
 }
 
 /// Drains every complete pipelined request buffered on `conn`, in order,
-/// then returns the connection to the poller (or drops it on
-/// close/error). Runs on a worker thread with the socket in blocking
-/// mode for the response writes.
-fn serve_ready(mut conn: Conn, service: &CornetService, config: &ServerConfig, shared: &Shared) {
+/// then parks and re-arms the connection (or drops it on close/error).
+/// Runs on a worker thread with the socket in blocking mode for the
+/// response writes.
+fn serve_ready(mut conn: Conn, service: &CornetService, shared: &Shared) {
+    let config = &shared.config;
     if conn.stream.set_nonblocking(false).is_err() {
         return;
     }
-    let _ = conn.stream.set_write_timeout(Some(config.request_timeout));
     loop {
         match parse_request(&conn.buf) {
             ParseOutcome::Ready { request, consumed } => {
@@ -808,43 +857,23 @@ fn serve_ready(mut conn: Conn, service: &CornetService, config: &ServerConfig, s
                     return;
                 }
             }
-            ParseOutcome::Bad { status, message } => {
-                let body = error_body(status, &message);
-                let _ = respond(
-                    &mut conn.stream,
-                    status,
-                    &body,
-                    true,
-                    None,
-                    JSON_CONTENT_TYPE,
-                );
-                count_request("unmatched", status);
-                config.log.record(&RequestRecord {
-                    conn: conn.id,
-                    request_id: next_request_id(),
-                    method: "-".into(),
-                    path: "-".into(),
-                    status,
-                    micros: 0,
-                });
-                return;
-            }
+            ParseOutcome::Bad { status, message } => return reject(conn, status, &message, shared),
             ParseOutcome::Incomplete => break,
         }
     }
-    conn.started = if conn.buf.is_empty() {
-        None
+    let wait = if conn.buf.is_empty() {
+        config.keep_alive
     } else {
-        Some(Instant::now())
+        config.request_timeout
     };
-    conn.idle_since = Instant::now();
+    conn.deadline = Instant::now() + wait;
     if conn.stream.set_nonblocking(true).is_ok() {
-        shared.returned.lock().unwrap().push(conn);
+        shared.park(conn, EPOLL_CTL_MOD);
     }
 }
 
 /// Sheds one over-cap connection with a `503` + `Retry-After` (on the
-/// accept thread, bounded by a short write timeout).
+/// reactor, bounded by a short write timeout).
 fn shed(mut stream: TcpStream) {
     http_metrics().shed.inc();
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
@@ -852,14 +881,131 @@ fn shed(mut stream: TcpStream) {
     let _ = respond(&mut stream, 503, &body, true, Some(1), JSON_CONTENT_TYPE);
 }
 
+/// The reactor thread: waits for readiness or the earliest deadline.
+fn run_reactor(listener: TcpListener, shared: &Shared, live: &Arc<AtomicUsize>) {
+    let mut events = [EpollEvent::default(); 64];
+    let mut next_id = LISTENER;
+    let mut timeout = None;
+    while !shared.stop.load(Ordering::SeqCst) {
+        let Ok(n) = shared.epoll.wait(&mut events, timeout) else {
+            break;
+        };
+        for event in &events[..n] {
+            let key = event.key; // a copy: the struct is packed
+            match key {
+                WAKE => shared.epoll.drain_wake(),
+                LISTENER => accept(&listener, shared, live, &mut next_id),
+                id => {
+                    let conn = shared.parked.lock().unwrap().conns.remove(&id);
+                    if let Some(conn) = conn {
+                        poll_conn(conn, shared);
+                    }
+                }
+            }
+        }
+        timeout = expire(&listener, shared);
+    }
+}
+
+/// Arms the listener for one readiness event (`op` adds or re-arms it).
+fn arm_listener(listener: &TcpListener, shared: &Shared, op: i32) -> io::Result<()> {
+    let fd = listener.as_raw_fd();
+    shared.epoll.ctl(op, fd, EPOLLIN | EPOLLONESHOT, LISTENER)
+}
+
+/// Admits every pending connection (shedding those over the cap) and
+/// re-arms the listener, or after a failed `accept` schedules that.
+fn accept(listener: &TcpListener, shared: &Shared, live: &Arc<AtomicUsize>, next_id: &mut u64) {
+    let config = &shared.config;
+    loop {
+        let stream = match listener.accept() {
+            Ok((stream, _)) => stream,
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => {
+                let retry = Instant::now() + ACCEPT_BACKOFF;
+                let mut parked = shared.parked.lock().unwrap();
+                parked.deadlines.push(Reverse((retry, LISTENER)));
+                return;
+            }
+        };
+        if live.load(Ordering::SeqCst) >= config.max_connections {
+            shed(stream);
+            continue;
+        }
+        live.fetch_add(1, Ordering::SeqCst);
+        http_metrics().connections.inc();
+        let permit = ConnPermit(Arc::clone(live));
+        if stream.set_nonblocking(true).is_err() {
+            continue; // permit drop restores the count
+        }
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_write_timeout(Some(config.request_timeout));
+        *next_id += 1;
+        let conn = Conn {
+            id: *next_id,
+            stream,
+            buf: Vec::new(),
+            deadline: Instant::now() + config.keep_alive,
+            scheduled: None,
+            _permit: permit,
+        };
+        shared.park(conn, EPOLL_CTL_ADD);
+    }
+    let _ = arm_listener(listener, shared, EPOLL_CTL_MOD);
+}
+
+/// Pops every due heap entry: re-arms a backed-off listener, reaps parked
+/// connections past their deadline (a partial request gets a `408`), and
+/// re-schedules those whose deadline moved. Returns the time to the next.
+fn expire(listener: &TcpListener, shared: &Shared) -> Option<Duration> {
+    let now = Instant::now();
+    let mut expired = Vec::new();
+    let mut guard = shared.parked.lock().unwrap();
+    let parked = &mut *guard;
+    let next = loop {
+        let Some(&Reverse((due, key))) = parked.deadlines.peek() else {
+            break None;
+        };
+        if due > now {
+            break Some(due - now);
+        }
+        parked.deadlines.pop();
+        match parked.conns.get_mut(&key) {
+            None if key == LISTENER => drop(arm_listener(listener, shared, EPOLL_CTL_MOD)),
+            Some(conn) if conn.scheduled == Some(due) && conn.deadline <= now => {
+                expired.extend(parked.conns.remove(&key))
+            }
+            Some(conn) if conn.scheduled == Some(due) => {
+                let deadline = conn.deadline;
+                conn.scheduled = Some(deadline);
+                parked.deadlines.push(Reverse((deadline, key)));
+            }
+            // Stale: the connection is gone, busy on a worker that will
+            // park it anew, or covered by a later entry.
+            _ => {}
+        }
+    };
+    drop(guard);
+    for conn in expired {
+        // An idle keep-alive socket just closes; a slow loris is told first
+        // (best effort on the non-blocking socket).
+        if !conn.buf.is_empty() {
+            http_metrics().timeouts.inc();
+            reject(conn, 408, "request did not complete in time", shared);
+        }
+    }
+    next
+}
+
 /// A running HTTP server; see the module docs for the thread layout.
 pub struct Server {
     addr: SocketAddr,
-    shared: Arc<Shared>,
+    /// `None` once shut down: the last reference, so dropping it closes
+    /// the epoll and wake descriptors and every remaining connection.
+    shared: Option<Arc<Shared>>,
     live: Arc<AtomicUsize>,
-    accept_thread: Option<std::thread::JoinHandle<()>>,
-    poller_thread: Option<std::thread::JoinHandle<()>>,
-    worker_threads: Vec<std::thread::JoinHandle<()>>,
+    threads: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Server {
@@ -878,123 +1024,41 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let workers = match config.workers {
+            0 => cornet_pool::current_threads().clamp(2, 16),
+            n => n,
+        };
         let shared = Arc::new(Shared {
+            config,
             stop: AtomicBool::new(false),
             ready: Mutex::new(VecDeque::new()),
             ready_cv: Condvar::new(),
-            returned: Mutex::new(Vec::new()),
+            parked: Mutex::default(),
+            epoll: Epoll::new(WAKE)?,
         });
+        arm_listener(&listener, &shared, EPOLL_CTL_ADD)?;
         let live = Arc::new(AtomicUsize::new(0));
 
-        let accept_thread = {
+        let mut threads = Vec::with_capacity(workers + 1);
+        let (reactor_shared, reactor_live) = (Arc::clone(&shared), Arc::clone(&live));
+        threads.push(std::thread::spawn(move || {
+            run_reactor(listener, &reactor_shared, &reactor_live)
+        }));
+        threads.extend((0..workers).map(|_| {
             let shared = Arc::clone(&shared);
-            let live = Arc::clone(&live);
-            let config = config.clone();
+            let service = Arc::clone(&service);
             std::thread::spawn(move || {
-                let next_id = AtomicU64::new(1);
-                for stream in listener.incoming() {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else {
-                        // Typically fd exhaustion; back off instead of
-                        // spinning accept→error at full CPU.
-                        std::thread::sleep(Duration::from_millis(20));
-                        continue;
-                    };
-                    if live.load(Ordering::SeqCst) >= config.max_connections {
-                        shed(stream);
-                        continue;
-                    }
-                    live.fetch_add(1, Ordering::SeqCst);
-                    http_metrics().connections.inc();
-                    let permit = ConnPermit(Arc::clone(&live));
-                    if stream.set_nonblocking(true).is_err() {
-                        continue; // permit drop restores the count
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let conn = Conn {
-                        id: next_id.fetch_add(1, Ordering::Relaxed),
-                        stream,
-                        buf: Vec::new(),
-                        started: None,
-                        idle_since: Instant::now(),
-                        _permit: permit,
-                    };
-                    shared.returned.lock().unwrap().push(conn);
+                while let Some(conn) = shared.next_ready() {
+                    serve_ready(conn, &service, &shared);
                 }
             })
-        };
-
-        let poller_thread = {
-            let shared = Arc::clone(&shared);
-            let config = config.clone();
-            std::thread::spawn(move || {
-                let mut idle: Vec<Conn> = Vec::new();
-                loop {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        break; // drops every idle connection
-                    }
-                    idle.append(&mut shared.returned.lock().unwrap());
-                    let mut activity = false;
-                    let mut still_idle = Vec::with_capacity(idle.len());
-                    for mut conn in idle.drain(..) {
-                        match poll_conn(&mut conn, &config) {
-                            PollVerdict::Idle => still_idle.push(conn),
-                            PollVerdict::Dispatch => {
-                                shared.ready.lock().unwrap().push_back(conn);
-                                shared.ready_cv.notify_one();
-                                activity = true;
-                            }
-                            PollVerdict::Drop => activity = true,
-                        }
-                    }
-                    idle = still_idle;
-                    if !activity {
-                        std::thread::sleep(POLL_TICK);
-                    }
-                }
-            })
-        };
-
-        let workers = if config.workers > 0 {
-            config.workers
-        } else {
-            cornet_pool::current_threads().clamp(2, 16)
-        };
-        let worker_threads = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let service = Arc::clone(&service);
-                let config = config.clone();
-                std::thread::spawn(move || loop {
-                    let next = {
-                        let mut ready = shared.ready.lock().unwrap();
-                        loop {
-                            if let Some(conn) = ready.pop_front() {
-                                break Some(conn);
-                            }
-                            if shared.stop.load(Ordering::SeqCst) {
-                                break None;
-                            }
-                            ready = shared.ready_cv.wait(ready).unwrap();
-                        }
-                    };
-                    match next {
-                        Some(conn) => serve_ready(conn, &service, &config, &shared),
-                        None => break,
-                    }
-                })
-            })
-            .collect();
-
+        }));
         Ok(Server {
             addr,
-            shared,
+            shared: Some(shared),
             live,
-            accept_thread: Some(accept_thread),
-            poller_thread: Some(poller_thread),
-            worker_threads,
+            threads,
         })
     }
 
@@ -1009,35 +1073,20 @@ impl Server {
         self.live.load(Ordering::SeqCst)
     }
 
-    /// Stops accepting, drops idle connections, and joins every thread.
+    /// Stops accepting, joins every thread, and closes the listener, the
+    /// reactor's descriptors and every remaining connection.
     pub fn shutdown(&mut self) {
-        if self.shared.stop.swap(true, Ordering::SeqCst) {
-            return;
+        if let Some(shared) = self.shared.take() {
+            shared.stop.store(true, Ordering::SeqCst);
+            shared.epoll.wake();
+            // Take the queue lock between setting `stop` and notifying: a
+            // worker that saw `stop` unset is then already waiting.
+            drop(shared.ready.lock().unwrap());
+            shared.ready_cv.notify_all();
+            for t in self.threads.drain(..) {
+                let _ = t.join();
+            }
         }
-        // Unblock the accept loop with a wake-up connection. A wildcard
-        // bind address (0.0.0.0 / ::) is not connectable on every
-        // platform; rewrite it to the matching loopback.
-        let mut wake = self.addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(match wake.ip() {
-                std::net::IpAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-                std::net::IpAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-            });
-        }
-        let _ = TcpStream::connect(wake);
-        self.shared.ready_cv.notify_all();
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.poller_thread.take() {
-            let _ = t.join();
-        }
-        for t in self.worker_threads.drain(..) {
-            let _ = t.join();
-        }
-        // Connections parked in the ready queue die with the server.
-        self.shared.ready.lock().unwrap().clear();
-        self.shared.returned.lock().unwrap().clear();
     }
 }
 
@@ -1077,11 +1126,11 @@ pub struct HttpResponse {
 impl HttpResponse {
     /// First header value with the given (case-insensitive) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
+        let (_, value) = self
+            .headers
             .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+            .find(|(n, _)| n.eq_ignore_ascii_case(name))?;
+        Some(value)
     }
 }
 
@@ -1174,20 +1223,8 @@ impl HttpClient {
         path: &str,
         body: Option<&str>,
     ) -> io::Result<HttpResponse> {
-        self.stream
-            .write_all(encode_request(method, path, body, false).as_bytes())?;
-        self.stream.flush()?;
-        read_response(&mut self.stream)
-    }
-
-    /// Sends one keep-alive request and reads the raw (non-JSON)
-    /// response body — the keep-alive way to scrape `/metrics`.
-    pub fn request_text(&mut self, method: &str, path: &str) -> io::Result<(u16, String)> {
-        self.stream
-            .write_all(encode_request(method, path, None, false).as_bytes())?;
-        self.stream.flush()?;
-        let (status, _, text) = read_response_text(&mut self.stream)?;
-        Ok((status, text))
+        self.send_raw(encode_request(method, path, body, false).as_bytes())?;
+        self.read_one()
     }
 
     /// Writes raw bytes (for pipelining and protocol-error tests).
@@ -1211,24 +1248,18 @@ pub fn http_request(
     path: &str,
     body: Option<&str>,
 ) -> io::Result<(u16, Json)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
-    stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
-    stream.write_all(encode_request(method, path, body, true).as_bytes())?;
-    stream.flush()?;
-    let response = read_response(&mut stream)?;
+    let mut client = HttpClient::connect(addr)?;
+    client.send_raw(encode_request(method, path, body, true).as_bytes())?;
+    let response = client.read_one()?;
     Ok((response.status, response.body))
 }
 
 /// [`http_request`] for non-JSON endpoints: one `Connection: close`
 /// request, raw body text back. The one-shot way to scrape `/metrics`.
 pub fn http_request_text(addr: SocketAddr, method: &str, path: &str) -> io::Result<(u16, String)> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.set_read_timeout(Some(CLIENT_TIMEOUT))?;
-    stream.set_write_timeout(Some(CLIENT_TIMEOUT))?;
-    stream.write_all(encode_request(method, path, None, true).as_bytes())?;
-    stream.flush()?;
-    let (status, _, text) = read_response_text(&mut stream)?;
+    let mut client = HttpClient::connect(addr)?;
+    client.send_raw(encode_request(method, path, None, true).as_bytes())?;
+    let (status, _, text) = read_response_text(&mut client.stream)?;
     Ok((status, text))
 }
 
@@ -1238,7 +1269,21 @@ mod tests {
     use crate::service::ServiceConfig;
     use std::path::PathBuf;
 
-    fn temp_server(tag: &str) -> (Server, PathBuf) {
+    /// A server over a temporary store, shut down and removed on drop.
+    struct TestServer(Server, PathBuf);
+
+    impl Drop for TestServer {
+        fn drop(&mut self) {
+            self.0.shutdown();
+            std::fs::remove_dir_all(&self.1).ok();
+        }
+    }
+
+    fn temp_server(tag: &str) -> (TestServer, SocketAddr) {
+        temp_server_with(tag, ServerConfig::from_env())
+    }
+
+    fn temp_server_with(tag: &str, config: ServerConfig) -> (TestServer, SocketAddr) {
         let dir =
             std::env::temp_dir().join(format!("cornet-http-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1250,50 +1295,48 @@ mod tests {
             })
             .unwrap(),
         );
-        (Server::start("127.0.0.1:0", service).unwrap(), dir)
+        let server = Server::start_with("127.0.0.1:0", service, config).unwrap();
+        let addr = server.addr();
+        (TestServer(server, dir), addr)
     }
 
     #[test]
     fn health_and_unknown_route() {
-        let (mut server, dir) = temp_server("health");
-        let (status, doc) = http_request(server.addr(), "GET", "/health", None).unwrap();
+        let (_server, addr) = temp_server("health");
+        let (status, doc) = http_request(addr, "GET", "/health", None).unwrap();
         assert_eq!(status, 200);
         let payload = cornet_serde::open_envelope(&doc, "health").unwrap();
         assert_eq!(payload.get("status").and_then(Json::as_str), Some("ok"));
 
-        let (status, doc) = http_request(server.addr(), "GET", "/nope", None).unwrap();
+        let (status, doc) = http_request(addr, "GET", "/nope", None).unwrap();
         assert_eq!(status, 404);
         assert!(cornet_serde::open_envelope(&doc, "error").is_ok());
-        server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn learn_over_the_wire() {
-        let (mut server, dir) = temp_server("learn");
+        let (_server, addr) = temp_server("learn");
         let body = r#"{"cells":["RW-187","RS-762","RW-159","RW-131-T","TW-224","RW-312"],"examples":[0,2,5]}"#;
-        let (status, doc) = http_request(server.addr(), "POST", "/learn", Some(body)).unwrap();
+        let (status, doc) = http_request(addr, "POST", "/learn", Some(body)).unwrap();
         assert_eq!(status, 200, "{doc}");
         let payload = cornet_serde::open_envelope(&doc, "learn").unwrap();
         let matches: Vec<usize> = Vec::from_json(payload.get("matches").unwrap()).unwrap();
         assert_eq!(matches, vec![0, 2, 5]);
 
-        let bad = http_request(server.addr(), "POST", "/learn", Some("{oops")).unwrap();
+        let bad = http_request(addr, "POST", "/learn", Some("{oops")).unwrap();
         assert_eq!(bad.0, 400);
-        server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn suggest_over_the_wire() {
-        let (mut server, dir) = temp_server("suggest");
+        let (_server, addr) = temp_server("suggest");
         let learn = r#"{"cells":["RW-187","RS-762","RW-159","RW-131-T","TW-224","RW-312"],"examples":[0,2,5]}"#;
-        let (status, _) = http_request(server.addr(), "POST", "/learn", Some(learn)).unwrap();
+        let (status, _) = http_request(addr, "POST", "/learn", Some(learn)).unwrap();
         assert_eq!(status, 200);
 
         // A bare column — no examples anywhere in the request.
         let ask = r#"{"cells":["RW-555","XQ-12","RW-901"]}"#;
-        let (status, doc) = http_request(server.addr(), "POST", "/suggest", Some(ask)).unwrap();
+        let (status, doc) = http_request(addr, "POST", "/suggest", Some(ask)).unwrap();
         assert_eq!(status, 200, "{doc}");
         let payload = cornet_serde::open_envelope(&doc, "suggest").unwrap();
         let suggestions = payload
@@ -1304,23 +1347,20 @@ mod tests {
         let matches: Vec<usize> = Vec::from_json(suggestions[0].get("matches").unwrap()).unwrap();
         assert!(matches.contains(&0) && !matches.contains(&1), "{matches:?}");
 
-        let bad = http_request(server.addr(), "POST", "/suggest", Some("{}")).unwrap();
+        let bad = http_request(addr, "POST", "/suggest", Some("{}")).unwrap();
         assert_eq!(bad.0, 400, "missing cells");
-        server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn a_slow_client_does_not_block_other_requests() {
-        let (mut server, dir) = temp_server("slow-client");
+        let (_server, addr) = temp_server("slow-client");
         // A client that opens a connection, sends half a request head and
-        // then stalls. Under continuous scheduling it sits in the poller
-        // and occupies no worker at all.
-        let mut slow = TcpStream::connect(server.addr()).unwrap();
+        // then stalls. It stays parked and occupies no worker at all.
+        let mut slow = TcpStream::connect(addr).unwrap();
         slow.write_all(b"POST /learn HTTP/1.1\r\nContent-").unwrap();
         std::thread::sleep(Duration::from_millis(50));
         let started = std::time::Instant::now();
-        let (status, _) = http_request(server.addr(), "GET", "/health", None).unwrap();
+        let (status, _) = http_request(addr, "GET", "/health", None).unwrap();
         assert_eq!(status, 200);
         assert!(
             started.elapsed() < Duration::from_secs(5),
@@ -1328,14 +1368,11 @@ mod tests {
             started.elapsed()
         );
         drop(slow);
-        server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn concurrent_requests_all_get_answers() {
-        let (mut server, dir) = temp_server("concurrent");
-        let addr = server.addr();
+        let (_server, addr) = temp_server("concurrent");
         let handles: Vec<_> = (0..12)
             .map(|_| {
                 std::thread::spawn(move || {
@@ -1346,39 +1383,33 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap().unwrap(), 200);
         }
-        server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn method_mismatch_is_a_404() {
-        let (mut server, dir) = temp_server("method");
-        let (status, _) = http_request(server.addr(), "GET", "/learn", None).unwrap();
+        let (_server, addr) = temp_server("method");
+        let (status, _) = http_request(addr, "GET", "/learn", None).unwrap();
         assert_eq!(status, 404);
-        server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn keep_alive_socket_serves_many_requests() {
-        let (mut server, dir) = temp_server("keep-alive");
-        let mut client = HttpClient::connect(server.addr()).unwrap();
+        let (_server, addr) = temp_server("keep-alive");
+        let mut client = HttpClient::connect(addr).unwrap();
         for _ in 0..4 {
             let response = client.request("GET", "/health", None).unwrap();
             assert_eq!(response.status, 200);
             assert_eq!(response.header("connection"), Some("keep-alive"));
         }
-        server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn metrics_endpoint_serves_prometheus_text() {
-        let (mut server, dir) = temp_server("metrics");
+        let (_server, addr) = temp_server("metrics");
         let learn = r#"{"cells":["RW-187","RS-762","RW-159"],"examples":[0,2]}"#;
-        let (status, _) = http_request(server.addr(), "POST", "/learn", Some(learn)).unwrap();
+        let (status, _) = http_request(addr, "POST", "/learn", Some(learn)).unwrap();
         assert_eq!(status, 200);
-        let (status, text) = http_request_text(server.addr(), "GET", "/metrics").unwrap();
+        let (status, text) = http_request_text(addr, "GET", "/metrics").unwrap();
         assert_eq!(status, 200);
         let expo = cornet_obs::expo::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
         assert_eq!(
@@ -1393,58 +1424,27 @@ mod tests {
             .is_some_and(|v| v >= 1.0),
             "per-route request counter missing:\n{text}"
         );
-        server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn metrics_endpoint_can_be_disabled() {
-        let dir = std::env::temp_dir().join(format!(
-            "cornet-http-test-metrics-off-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let service = Arc::new(
-            CornetService::new(&ServiceConfig {
-                store_dir: dir.clone(),
-                cache_capacity: 16,
-                ..ServiceConfig::default()
-            })
-            .unwrap(),
-        );
         let config = ServerConfig {
             metrics: false,
             ..ServerConfig::default()
         };
-        let mut server = Server::start_with("127.0.0.1:0", service, config).unwrap();
-        let (status, _) = http_request_text(server.addr(), "GET", "/metrics").unwrap();
+        let (_server, addr) = temp_server_with("metrics-off", config);
+        let (status, _) = http_request_text(addr, "GET", "/metrics").unwrap();
         assert_eq!(status, 404, "gated-off /metrics falls through to 404");
-        server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn request_records_carry_distinct_request_ids() {
-        let dir = std::env::temp_dir().join(format!(
-            "cornet-http-test-request-ids-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let service = Arc::new(
-            CornetService::new(&ServiceConfig {
-                store_dir: dir.clone(),
-                cache_capacity: 16,
-                ..ServiceConfig::default()
-            })
-            .unwrap(),
-        );
         let log = Arc::new(VecLog::default());
         let config = ServerConfig {
             log: Arc::clone(&log) as Arc<dyn RequestLog>,
             ..ServerConfig::default()
         };
-        let mut server = Server::start_with("127.0.0.1:0", service, config).unwrap();
-        let addr = server.addr();
+        let (server, addr) = temp_server_with("request-ids", config);
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 std::thread::spawn(move || {
@@ -1455,7 +1455,7 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap().unwrap(), 200);
         }
-        server.shutdown();
+        drop(server); // joins the workers, so every record is in
         let records = log.records();
         assert_eq!(records.len(), 4);
         let mut ids: Vec<u64> = records.iter().map(|r| r.request_id).collect();
@@ -1475,7 +1475,6 @@ mod tests {
                 "one record must format as exactly one line: {line:?}"
             );
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -15,12 +15,15 @@
 //!   `score` (rule + rows in → labels out), `batch` (fanned onto
 //!   `cornet-pool`) and the demo paper's correct-and-relearn `session`
 //!   loop.
-//! * [`http`] — a `std::net` HTTP/1.1 keep-alive front-end: a poller
-//!   thread owns every idle connection (so parked keep-alive sockets
-//!   never pin a worker), complete requests are dispatched to a fixed
-//!   worker pool that drains pipelined requests in order, and a hard
-//!   connection cap sheds overload with `503` + `Retry-After` instead
-//!   of silent drops. Per-request logging (method, path, status, µs
+//! * [`http`] — a `std::net` HTTP/1.1 keep-alive front-end: an `epoll`
+//!   reactor thread accepts and owns every idle connection, each armed
+//!   one-shot so it wakes the reactor only when bytes arrive (parked
+//!   keep-alive sockets never pin a worker, and an idle server never
+//!   wakes); complete requests go to a fixed worker pool that drains
+//!   pipelined requests in order and re-arms the connection itself; a
+//!   deadline heap enforces the keep-alive and slow-loris timeouts; and
+//!   a hard connection cap sheds overload with `503` + `Retry-After`
+//!   instead of silent drops. Per-request logging (method, path, status, µs
 //!   latency, connection id) hangs off the [`http::RequestLog`] seam;
 //!   [`http::HttpClient`] / [`http::http_request`] are the matching
 //!   minimal clients.
@@ -49,6 +52,7 @@
 //! println!("{} → {}", learned.rule_id, learned.rule_text);
 //! ```
 
+mod epoll;
 pub mod http;
 pub mod service;
 pub mod sha256;

@@ -92,6 +92,13 @@ impl ServeError {
     }
 }
 
+/// A request body that parsed as JSON but does not decode is a `400`.
+impl From<cornet_serde::DecodeError> for ServeError {
+    fn from(e: cornet_serde::DecodeError) -> Self {
+        ServeError::BadRequest(e.message)
+    }
+}
+
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{} ({})", self.message(), self.status())
