@@ -47,7 +47,6 @@
 //! | `GET /session/<id>` | — | `session` |
 //! | `POST /session/<id>/correct` | `{"format":[…]?,"unformat":[…]?}` | `session` |
 //! | `GET /rules/<id>` | — | `rule` |
-//! | `POST /admin/pack` | — | `pack` |
 //! | `GET /metrics` | — | Prometheus text (not JSON) |
 //!
 //! `GET /metrics` serves the Prometheus text exposition rendered by
@@ -138,9 +137,9 @@ fn http_metrics() -> &'static HttpMetrics {
 
 /// Every label [`route_label`] returns.
 #[rustfmt::skip]
-const ROUTES: [&str; 12] = [
+const ROUTES: [&str; 11] = [
     "/health", "/metrics", "/learn", "/score", "/suggest", "/batch", "/session",
-    "/session/:id", "/session/:id/correct", "/rules/:id", "/admin/pack", "unmatched",
+    "/session/:id", "/session/:id/correct", "/rules/:id", "unmatched",
 ];
 
 /// Every status the front-end answers with.
@@ -163,7 +162,6 @@ fn route_label(method: &str, path: &str) -> &'static str {
         ("GET", ["session", _]) => "/session/:id",
         ("POST", ["session", _, "correct"]) => "/session/:id/correct",
         ("GET", ["rules", _]) => "/rules/:id",
-        ("POST", ["admin", "pack"]) => "/admin/pack",
         _ => "unmatched",
     }
 }
@@ -502,10 +500,6 @@ fn handle(service: &CornetService, request: &Request) -> Result<(&'static str, J
             ))
         }
         ("GET", ["rules", id]) => Ok(("rule", service.rule(id)?.to_json())),
-        ("POST", ["admin", "pack"]) => {
-            let packed = service.pack_rules()?;
-            Ok(("pack", Json::object([("packed", packed.to_json())])))
-        }
         (_, _) => Err(ServeError::NotFound(format!(
             "no route for {} {}",
             request.method, request.path

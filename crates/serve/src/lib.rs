@@ -3,13 +3,13 @@
 //! The ROADMAP's north star is a production-scale rule-formatting
 //! service; this crate is the serving layer over the learner core:
 //!
-//! * [`store`] — a persistent rule store: hot rules live as one
-//!   `{"v":1,"kind":"stored-rule",…}` JSON file each (`cornet_serde`
-//!   envelopes), cold rules are packed into append-only segment files
-//!   with an in-memory index ([`store::RuleStore::pack`]), all fronted
-//!   by an in-memory LRU. Rule ids are content fingerprints of the
-//!   learn request, so an identical request — in this process or after
-//!   a restart — is answered from the store without re-learning.
+//! * [`store`] — a persistent rule store: one append-only log,
+//!   `rules.log`, of `<rule-id>\t{"v":1,"kind":"stored-rule",…}` lines
+//!   (`cornet_serde` envelopes), synced before each write is
+//!   acknowledged, indexed in memory by id and fronted by an in-memory
+//!   LRU. Rule ids are content fingerprints of the learn request, so an
+//!   identical request — in this process or after a restart — is
+//!   answered from the store without re-learning.
 //! * [`service`] — the transport-independent service:
 //!   [`service::CornetService`] exposes `learn` (examples in → rule out),
 //!   `score` (rule + rows in → labels out), `batch` (fanned onto

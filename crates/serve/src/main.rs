@@ -4,7 +4,6 @@
 //! cornet-serve [--addr 127.0.0.1:7878] [--store cornet-store] [--capacity 256]
 //!              [--max-conns 256] [--keep-alive-secs 10] [--quiet]
 //!              [--metrics|--no-metrics]
-//! cornet-serve pack [--store cornet-store]
 //! cornet-serve smoke
 //! ```
 //!
@@ -20,11 +19,10 @@
 //! trace sink: every learner stage and HTTP request span is emitted as a
 //! `trace span=… request_id=… micros=…` line.
 //!
-//! `pack` folds every loose per-rule file in the store into an
-//! append-only segment file and exits (also reachable at runtime via
-//! `POST /admin/pack`). `smoke` runs the scripted learn→score→correct→
-//! re-learn→restart session against a throwaway store and exits non-zero
-//! on any failure (the CI `serve-smoke` job).
+//! The store directory holds the append-only rule log (`rules.log`)
+//! and the persisted sessions. `smoke` runs the scripted
+//! learn→score→correct→re-learn→restart session against a throwaway
+//! store and exits non-zero on any failure (the CI `serve-smoke` job).
 
 use cornet_serve::http::{NullLog, StderrLog};
 use cornet_serve::service::{CornetService, ServiceConfig};
@@ -50,46 +48,6 @@ fn main() {
         }
         return;
     }
-    if args.first().map(String::as_str) == Some("pack") {
-        let mut store_dir = PathBuf::from("cornet-store");
-        let mut iter = args.iter().skip(1);
-        while let Some(flag) = iter.next() {
-            match flag.as_str() {
-                "--store" => {
-                    store_dir = PathBuf::from(iter.next().unwrap_or_else(|| {
-                        eprintln!("--store requires a value");
-                        std::process::exit(2);
-                    }))
-                }
-                other => {
-                    eprintln!(
-                        "unknown argument `{other}` (usage: cornet-serve pack [--store DIR])"
-                    );
-                    std::process::exit(2);
-                }
-            }
-        }
-        let mut store = match cornet_serve::RuleStore::open(&store_dir, 1) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot open rule store {}: {e}", store_dir.display());
-                std::process::exit(1);
-            }
-        };
-        match store.pack() {
-            Ok(packed) => println!(
-                "packed {packed} rules into segments ({} rules across {} segment files)",
-                store.segment_rules(),
-                store.segment_files()
-            ),
-            Err(e) => {
-                eprintln!("pack failed: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
     let mut addr = "127.0.0.1:7878".to_string();
     let mut store_dir = PathBuf::from("cornet-store");
     let mut capacity = 256usize;
@@ -131,7 +89,7 @@ fn main() {
                 println!(
                     "usage: cornet-serve [--addr HOST:PORT] [--store DIR] [--capacity N] \
                      [--max-conns N] [--keep-alive-secs N] [--quiet] [--metrics|--no-metrics] \
-                     | pack [--store DIR] | smoke\n\
+                     | smoke\n\
                      env: CORNET_TRACE=1 emits trace spans to stderr"
                 );
                 return;
@@ -178,7 +136,7 @@ fn main() {
         keep_alive.as_secs(),
     );
     eprintln!(
-        "endpoints: GET /health{} · POST /learn /score /suggest /batch /session /admin/pack · \
+        "endpoints: GET /health{} · POST /learn /score /suggest /batch /session · \
          GET /session/<id> /rules/<id>",
         if metrics_enabled { " /metrics" } else { "" }
     );

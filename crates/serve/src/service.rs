@@ -984,18 +984,6 @@ impl CornetService {
         })
     }
 
-    /// Packs every loose per-rule file into an append-only segment (see
-    /// [`RuleStore::pack`]), returning the number of rules packed. The
-    /// store lock is held for the duration — packing is an explicit
-    /// administrative action, not something the serving path triggers.
-    pub fn pack_rules(&self) -> Result<usize, ServeError> {
-        self.store
-            .lock()
-            .unwrap()
-            .pack()
-            .map_err(|e| ServeError::Internal(format!("rule store pack failed: {e}")))
-    }
-
     /// Looks a stored rule up by id.
     pub fn rule(&self, id: &str) -> Result<StoredRule, ServeError> {
         self.store
@@ -1343,26 +1331,16 @@ impl CornetService {
 
     /// Service health/statistics document.
     ///
-    /// The on-disk rule count comes from the store's cached gauge
-    /// ([`RuleStore::persisted_cached`]): the directory walk runs at most
-    /// once per second, so repeated health probes never stall
-    /// `learn`/`score` behind a filesystem scan. The store mutex is
-    /// released before the session table is locked (never nested inside
-    /// the store lock — `session_correct` acquires them in the opposite
-    /// order, which would deadlock).
+    /// The on-disk rule count is the size of the store's in-memory index
+    /// ([`RuleStore::persisted`]), so a health probe never touches disk.
+    /// The store mutex is released before the session table is locked
+    /// (never nested inside the store lock — `session_correct` acquires
+    /// them in the opposite order, which would deadlock).
     pub fn health(&self) -> Json {
-        let (hits, misses, cached, seg_rules, seg_files, persisted) = {
-            let mut store = self.store.lock().unwrap();
+        let (hits, misses, cached, persisted) = {
+            let store = self.store.lock().unwrap();
             let (hits, misses) = store.counters();
-            let persisted = store.persisted_cached();
-            (
-                hits,
-                misses,
-                store.cached(),
-                store.segment_rules(),
-                store.segment_files(),
-                persisted,
-            )
+            (hits, misses, store.cached(), store.persisted())
         };
         let sessions = self.sessions.lock().unwrap().map.len();
         Json::object([
@@ -1370,8 +1348,6 @@ impl CornetService {
             ("uptime_seconds", self.started.elapsed().as_secs().to_json()),
             ("rules_cached", cached.to_json()),
             ("rules_persisted", persisted.to_json()),
-            ("rules_in_segments", seg_rules.to_json()),
-            ("segment_files", seg_files.to_json()),
             ("store_hits", hits.to_json()),
             ("store_misses", misses.to_json()),
             ("sessions", sessions.to_json()),
@@ -1395,7 +1371,7 @@ impl CornetService {
         let service = Registry::new();
         let set = |name: &str, help: &str, value: i64| service.gauge(name, help).set(value);
         {
-            let mut store = self.store.lock().unwrap();
+            let store = self.store.lock().unwrap();
             let (hits, misses) = store.counters();
             set(
                 "cornet_service_store_hits",
@@ -1409,23 +1385,13 @@ impl CornetService {
             );
             set(
                 "cornet_service_store_persisted_rules",
-                "Distinct rules persisted under the store directory.",
-                store.persisted_cached() as i64,
+                "Distinct rules persisted in the store's rule log.",
+                store.persisted() as i64,
             );
             set(
                 "cornet_service_store_cached_rules",
                 "Rules currently held in the in-memory LRU cache.",
                 store.cached() as i64,
-            );
-            set(
-                "cornet_service_store_segment_rules",
-                "Distinct rules reachable through the segment index.",
-                store.segment_rules() as i64,
-            );
-            set(
-                "cornet_service_store_segment_files",
-                "Segment files referenced by the index.",
-                store.segment_files() as i64,
             );
         }
         set(
@@ -2236,45 +2202,50 @@ mod tests {
     }
 
     #[test]
-    fn suggest_survives_pack_and_restart_from_segments() {
-        let (service, dir) = temp_service("suggest-pack");
-        let learned = service
-            .learn(&LearnRequest {
-                cells: rw_column(),
-                examples: vec![0, 2, 5],
-                negatives: vec![],
-                classes: vec![],
-                tenant: None,
-            })
-            .unwrap();
-        assert_eq!(service.pack_rules().unwrap(), 1);
-        // The pack invariant: ids never change, so the index entry built
-        // before the pack still resolves through the store after it.
-        let packed = service
-            .suggest(&SuggestRequest {
-                cells: rw_column(),
-                tenant: None,
-                k: None,
-            })
-            .unwrap();
-        assert_eq!(packed.suggestions[0].rule_id, learned.rule_id);
-
+    fn restart_answers_from_the_rule_log() {
+        let (service, dir) = temp_service("restart-log");
+        let req = LearnRequest {
+            cells: rw_column(),
+            examples: vec![0, 2, 5],
+            negatives: vec![],
+            classes: vec![],
+            tenant: None,
+        };
+        let learned = service.learn(&req).unwrap();
         drop(service);
+        // The rule log is the store's only rule file.
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, [crate::store::LOG_FILE, "sessions"]);
+
         let restarted = CornetService::new(&ServiceConfig {
             store_dir: dir.clone(),
             cache_capacity: 16,
             ..ServiceConfig::default()
         })
         .unwrap();
-        assert_eq!(restarted.suggest_indexed(), 1, "rebuilt from the segment");
-        let from_segment = restarted
+        assert_eq!(restarted.suggest_indexed(), 1, "rebuilt from the log");
+        assert_eq!(
+            restarted
+                .health()
+                .get("rules_persisted")
+                .and_then(Json::as_u64),
+            Some(1)
+        );
+        let from_log = restarted
             .suggest(&SuggestRequest {
                 cells: rw_column(),
                 tenant: None,
                 k: None,
             })
             .unwrap();
-        assert_eq!(from_segment.suggestions[0].rule_id, learned.rule_id);
+        assert_eq!(from_log.suggestions[0].rule_id, learned.rule_id);
+        let again = restarted.learn(&req).unwrap();
+        assert!(again.cached, "answered from the log");
+        assert_eq!(again.rule_id, learned.rule_id);
         assert_eq!(restarted.learns_performed(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -346,27 +346,17 @@ fn run_in(dir: &std::path::Path) -> Result<Vec<String>, String> {
         "session's learner invocations show on /metrics",
         &log,
     )?;
+    let persisted_before = scrape(addr, "cornet_service_store_persisted_rules")?;
     expect(
-        scrape(addr, "cornet_service_store_persisted_rules")? >= 3.0,
+        persisted_before >= 3.0,
         "persisted rules show on /metrics",
         &log,
     )?;
-    log.push(format!("metrics before restart: learns={learns_before}"));
+    log.push(format!(
+        "metrics before restart: learns={learns_before} persisted={persisted_before}"
+    ));
 
-    // 4. Pack the store: every loose per-rule file folds into an
-    // append-only segment, so the restart below answers from segments.
-    let packed = post(addr, "/admin/pack", "{}", "pack", &mut log)?;
-    let packed_count = packed
-        .get("packed")
-        .and_then(Json::as_u64)
-        .ok_or("pack response missing packed count")?;
-    expect(
-        packed_count >= 3,
-        "pack folds the session's learned rules into a segment",
-        &log,
-    )?;
-
-    // 5. Restart: a new server process (fresh service) over the same
+    // 4. Restart: a new server process (fresh service) over the same
     // store directory must answer from persisted rules without learning.
     server.shutdown();
     log.push("server restarted".into());
@@ -387,7 +377,7 @@ fn run_in(dir: &std::path::Path) -> Result<Vec<String>, String> {
         &log,
     )?;
 
-    // 6. The session survived the restart: same id, same corrections,
+    // 5. The session survived the restart: same id, same corrections,
     // same rule — served from the persisted session state, not re-learned.
     let resumed = get(addr, &format!("/session/{sid}"), "session")?;
     expect(
@@ -410,7 +400,7 @@ fn run_in(dir: &std::path::Path) -> Result<Vec<String>, String> {
         &log,
     )?;
 
-    // 6b. The multi-class session and its stored rule set also survived:
+    // 5b. The multi-class session and its stored rule set also survived:
     // style payloads, priorities and consistency flags all come back from
     // the persisted store, and repeating the class learn is a store hit.
     let multi_resumed = get(addr, &format!("/session/{msid}"), "session")?;
@@ -449,7 +439,7 @@ fn run_in(dir: &std::path::Path) -> Result<Vec<String>, String> {
         &log,
     )?;
 
-    // 6c. The suggestion index rebuilt itself from the packed store: the
+    // 5c. The suggestion index rebuilt itself from the rule log: the
     // same bare column still surfaces the learned rule on the restarted
     // server (by now the session's corrected re-learns of the same column
     // are indexed too, so ask for enough neighbors and check membership),
@@ -492,18 +482,18 @@ fn run_in(dir: &std::path::Path) -> Result<Vec<String>, String> {
         &log,
     )?;
     expect(
-        scrape(addr, "cornet_service_store_persisted_rules")? >= packed_count as f64,
-        "restarted server's /metrics still counts the persisted rules",
+        scrape(addr, "cornet_service_store_persisted_rules")? == persisted_before,
+        "restarted server's /metrics counts every persisted rule, once",
         &log,
     )?;
     expect(
-        health.get("rules_in_segments").and_then(Json::as_u64) >= Some(packed_count),
-        "restarted server indexes the packed segment",
+        health.get("rules_persisted").and_then(Json::as_f64) == Some(persisted_before),
+        "restarted server's /health counts every persisted rule, once",
         &log,
     )?;
     log.push(format!("health after restart: {health}"));
 
-    // 7. Keep-alive: one socket serves several requests in a row.
+    // 6. Keep-alive: one socket serves several requests in a row.
     let mut client = crate::http::HttpClient::connect(addr).map_err(|e| format!("connect: {e}"))?;
     for _ in 0..3 {
         let response = client
@@ -514,7 +504,7 @@ fn run_in(dir: &std::path::Path) -> Result<Vec<String>, String> {
     drop(client);
     log.push("keep-alive socket served 3 requests".into());
 
-    // 8. The restored session accepts further corrections.
+    // 7. The restored session accepts further corrections.
     let continued = post(
         addr,
         &format!("/session/{sid}/correct"),

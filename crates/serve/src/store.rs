@@ -1,41 +1,35 @@
-//! The persistent rule store: one JSON file per learned rule, sharded by
-//! id prefix and fronted by an in-memory LRU cache.
+//! The persistent rule store: one append-only log of learned rules,
+//! fronted by an in-memory LRU cache.
 //!
-//! Layout: `<dir>/<id[1..3]>/<rule-id>.json` — 256 shard subdirectories
-//! named by the first two hex digits of the fingerprint, so a store of
-//! millions of rules never puts more than ~1/256th of them in one
-//! directory. Each file is a versioned
-//! `{"v":1,"kind":"stored-rule","payload":…}` envelope. Rule ids are
-//! content fingerprints of the learn request (cells + examples +
-//! negatives), so identical requests map to the same file across
+//! Layout: a single file, `<dir>/rules.log`. Each record is one line,
+//! `<rule-id>\t<envelope>\n`, where the envelope is the versioned
+//! `{"v":1,"kind":"stored-rule","payload":…}` document (the codec escapes
+//! control characters, so it never holds a raw tab or newline). Rule ids
+//! are content fingerprints of the learn request (cells + examples +
+//! negatives), so identical requests map to the same record across
 //! processes and restarts — that is what lets a restarted server answer
 //! `learn` and `score` without re-learning.
 //!
-//! Stores written before sharding used the flat `<dir>/<rule-id>.json`
-//! layout; reads fall back to the flat path and transparently migrate the
-//! file into its shard, so old stores upgrade in place with no tooling.
+//! [`RuleStore::open`] streams the log once, reading only each line's id
+//! header, into an in-memory `id → (offset, len)` map; a later record for
+//! an id wins (ids are content addresses, so duplicates are identical).
+//! A cache miss reads its one record with a positioned read; a corrupt
+//! record reads as a miss, and an id the map lacks is answered as absent
+//! without touching disk. [`RuleStore::put`] appends the record with one
+//! write and returns only after `fdatasync`, so an acknowledged rule
+//! survives power loss. There is no compaction: the only dead bytes are
+//! duplicate records and torn fragments.
 //!
-//! ## Segment packing
+//! A crash mid-append can leave a last line without its `\n`: a torn
+//! tail. Scans skip it, and `open` leaves it in place (other handles may
+//! be reading the same directory). The next `put` first writes `\0\n`,
+//! closing the fragment off as a line no scan accepts — a record line
+//! always ends in its envelope's `}`.
 //!
-//! A million stored rules must not mean a million inodes. [`RuleStore::pack`]
-//! migrates every loose per-rule file (sharded *and* legacy flat) into one
-//! append-only **segment file** under `<dir>/segments/seg-NNNNNN.seg` — one
-//! JSON envelope per line (the codec escapes control characters, so records
-//! never contain raw newlines). An in-memory index (`id → segment/offset/len`)
-//! is rebuilt by scanning the segment files at open, and reads seek straight
-//! to the record. Packing is crash-safe: the whole segment is written to a
-//! temp file and renamed into place *before* the loose sources are deleted,
-//! so a crash can duplicate a rule (ids are content fingerprints — both
-//! copies are identical and the index dedups) but never lose one. Corrupt
-//! loose files are left in place for inspection, matching the flat-layout
-//! migration contract; corrupt segment lines are skipped at scan.
-//!
-//! Writes (`put`) still land as per-rule files — the hot set stays
-//! individually replaceable — and reads fall through transparently:
-//! memory → segment index → sharded file → flat file.
-//!
-//! The LRU bounds only memory: eviction never deletes a file, and a miss
-//! falls back to disk before reporting absence.
+//! Stores written in the older per-rule-file and segment layouts are not
+//! read. The LRU bounds only memory. Single-writer contract: a record
+//! appended by another process after open is invisible until this store
+//! reopens.
 
 use cornet_core::rule::Rule;
 use cornet_core::ruleset::RuleSet;
@@ -44,11 +38,12 @@ use cornet_serde::{
     decode, encode, field_t, optional_field_t, to_string, DecodeError, FromJson, Json, ToJson,
 };
 use cornet_table::{Format, TargetScope};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
-use std::io::{self, Read, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::collections::{HashMap, VecDeque};
+use std::fs::{File, OpenOptions};
+use std::io::{self, BufRead, BufReader, Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
+use std::path::PathBuf;
 use std::sync::OnceLock;
-use std::time::{Duration, Instant};
 
 /// Process-wide store counters, registered once in the global
 /// [`cornet_obs`] registry. The per-store `hits`/`misses` fields keep
@@ -59,6 +54,7 @@ struct StoreMetrics {
     misses: Counter,
     segment_reads: Counter,
     fastpath_misses: Counter,
+    fsyncs: Counter,
 }
 
 fn store_metrics() -> &'static StoreMetrics {
@@ -76,27 +72,27 @@ fn store_metrics() -> &'static StoreMetrics {
             ),
             segment_reads: registry.counter(
                 "cornet_store_segment_reads_total",
-                "Rule records read out of packed segment files.",
+                "Rule records read and decoded out of the rule log.",
             ),
             fastpath_misses: registry.counter(
                 "cornet_store_fastpath_misses_total",
                 "Known-absent lookups short-circuited without touching disk.",
             ),
+            fsyncs: registry.counter(
+                "cornet_store_fsyncs_total",
+                "fsync calls made by the rule store (one per put, one per created log).",
+            ),
         }
     })
 }
 
-/// How long a cached persisted-rule count stays fresh before
-/// [`RuleStore::persisted_cached`] rescans the directory.
-const PERSISTED_SCAN_INTERVAL: Duration = Duration::from_secs(1);
-
-/// Envelope kind for rule-store files.
+/// Envelope kind for rule-store records.
 pub const STORED_RULE_KIND: &str = "stored-rule";
 
 /// A learned rule at rest: the rule plus the request that produced it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredRule {
-    /// Content-fingerprint identifier (also the file stem).
+    /// Content-fingerprint identifier (also the record's log-line header).
     pub id: String,
     /// The learned rule.
     pub rule: Rule,
@@ -125,8 +121,8 @@ pub struct StoredRule {
     pub tenant: Option<String>,
     /// The column-signature embedding of the learn request's cells
     /// (fixed-dim, L2-normalised — see `cornet_serve::suggest`),
-    /// persisted so the suggestion index rebuilds from segments/shards
-    /// at open without re-embedding (or needing the original cell
+    /// persisted so the suggestion index rebuilds from the rule log at
+    /// open without re-embedding (or needing the original cell
     /// texts, which are never stored). `None` on pre-suggestion records,
     /// which simply stay out of the index until re-learned. Optional on
     /// the wire and omitted when absent.
@@ -207,32 +203,36 @@ pub fn rule_id_for(
     negatives: &[usize],
 ) -> String {
     let mut hasher = crate::sha256::Sha256::new();
-    // Every variable-length field is length-prefixed: a bare separator
-    // byte would let ["a\u{1f}", "b"] and ["a", "\u{1f}b"] collide.
+    feed_cells(&mut hasher, cells);
+    hasher.update(&[0x01]);
+    feed_indices(&mut hasher, examples);
+    hasher.update(&[0x02]);
+    feed_indices(&mut hasher, negatives);
+    feed_tenant(&mut hasher, tenant);
+    hex_id(hasher)
+}
+
+/// Feeds the cell texts into a fingerprint. Every variable-length field
+/// is length-prefixed: a bare separator byte would let `["a\u{1f}", "b"]`
+/// and `["a", "\u{1f}b"]` collide.
+fn feed_cells(hasher: &mut crate::sha256::Sha256, cells: &[String]) {
     for cell in cells {
         hasher.update(&(cell.len() as u64).to_le_bytes());
         hasher.update(cell.as_bytes());
     }
-    let mut feed_indices = |tag: u8, indices: &[usize]| {
-        let mut sorted: Vec<usize> = indices.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        hasher.update(&[tag]);
-        hasher.update(&(sorted.len() as u64).to_le_bytes());
-        for i in sorted {
-            hasher.update(&(i as u64).to_le_bytes());
-        }
-    };
-    feed_indices(0x01, examples);
-    feed_indices(0x02, negatives);
-    feed_tenant(&mut hasher, tenant);
-    let digest = hasher.finish();
-    let mut id = String::with_capacity(33);
-    id.push('r');
-    for b in &digest[..16] {
-        id.push_str(&format!("{b:02x}"));
+}
+
+/// Feeds an index set into a fingerprint: sorted and deduplicated, so
+/// the order the request listed them in never changes the id, then
+/// length-prefixed.
+fn feed_indices(hasher: &mut crate::sha256::Sha256, indices: &[usize]) {
+    let mut sorted: Vec<usize> = indices.to_vec();
+    sorted.sort_unstable();
+    sorted.dedup();
+    hasher.update(&(sorted.len() as u64).to_le_bytes());
+    for i in sorted {
+        hasher.update(&(i as u64).to_le_bytes());
     }
-    id
 }
 
 /// Feeds the tenant namespace into a fingerprint under tag `0x04`.
@@ -244,6 +244,17 @@ fn feed_tenant(hasher: &mut crate::sha256::Sha256, tenant: Option<&str>) {
         hasher.update(&(tenant.len() as u64).to_le_bytes());
         hasher.update(tenant.as_bytes());
     }
+}
+
+/// The rule id of a finished fingerprint: `r` plus the first 128 bits of
+/// the digest in lowercase hex.
+fn hex_id(hasher: crate::sha256::Sha256) -> String {
+    let mut id = String::with_capacity(33);
+    id.push('r');
+    for b in &hasher.finish()[..16] {
+        id.push_str(&format!("{b:02x}"));
+    }
+    id
 }
 
 /// One format class of a multi-class learn request, as the fingerprint
@@ -289,10 +300,7 @@ pub fn rule_set_id_for(
     negatives: &[usize],
 ) -> String {
     let mut hasher = crate::sha256::Sha256::new();
-    for cell in cells {
-        hasher.update(&(cell.len() as u64).to_le_bytes());
-        hasher.update(cell.as_bytes());
-    }
+    feed_cells(&mut hasher, cells);
     for class in classes {
         hasher.update(&[0x03]);
         // The canonical style encoding (non-default channels only, fixed
@@ -305,124 +313,75 @@ pub fn rule_set_id_for(
             TargetScope::Cell => 0x00,
             TargetScope::Row => 0x01,
         }]);
-        let mut sorted: Vec<usize> = class.examples.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        hasher.update(&(sorted.len() as u64).to_le_bytes());
-        for i in sorted {
-            hasher.update(&(i as u64).to_le_bytes());
-        }
+        feed_indices(&mut hasher, class.examples);
     }
-    let mut feed_indices = |tag: u8, indices: &[usize]| {
-        let mut sorted: Vec<usize> = indices.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        hasher.update(&[tag]);
-        hasher.update(&(sorted.len() as u64).to_le_bytes());
-        for i in sorted {
-            hasher.update(&(i as u64).to_le_bytes());
-        }
-    };
-    feed_indices(0x02, negatives);
+    hasher.update(&[0x02]);
+    feed_indices(&mut hasher, negatives);
     feed_tenant(&mut hasher, tenant);
-    let digest = hasher.finish();
-    let mut id = String::with_capacity(33);
-    id.push('r');
-    for b in &digest[..16] {
-        id.push_str(&format!("{b:02x}"));
-    }
-    id
+    hex_id(hasher)
 }
 
-/// Subdirectory of the store root holding packed segment files.
-pub const SEGMENTS_DIR: &str = "segments";
+/// File name of the rule log under the store directory.
+pub const LOG_FILE: &str = "rules.log";
 
-/// Location of one rule inside a segment file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SegLoc {
-    seg: u32,
-    offset: u64,
-    len: u32,
-}
-
-/// File-backed rule store with an LRU-bounded in-memory cache and an
-/// append-only segment layer for cold rules (see the module docs).
+/// Log-backed rule store with an LRU-bounded in-memory cache (see the
+/// module docs).
 #[derive(Debug)]
 pub struct RuleStore {
-    dir: PathBuf,
-    segments_dir: PathBuf,
+    /// The log, opened for reading and appending.
+    log: File,
+    /// True while the log may end in a torn tail (a last line with no
+    /// `\n`): the next `put` closes it off before appending.
+    torn: bool,
     capacity: usize,
     cache: HashMap<String, StoredRule>,
     /// Most-recently-used at the back.
     order: VecDeque<String>,
-    /// `id → segment location` for every packed rule.
-    index: HashMap<String, SegLoc>,
-    /// Every rule id known to be persisted anywhere under the store —
-    /// segments, shards or the legacy flat layout. Seeded by the
-    /// open-time scan and kept current by `put`/`pack`, this is the miss
-    /// fast-path: a `get` for an id not in this set short-circuits
-    /// without a single filesystem call. Single-writer contract: a rule
-    /// written by *another* process after open is invisible until this
-    /// store reopens (the service owns its store directory, so that
-    /// only re-learns — content-addressed ids make the re-put a no-op).
-    known: HashSet<String>,
-    next_segment: u32,
+    /// `id → (offset, len)` of the line (without its `\n`) of its latest
+    /// record, for every rule in the log. Its size is the persisted-rule
+    /// count, and it is the miss fast-path: a `get` for an id it lacks
+    /// makes no filesystem call.
+    index: HashMap<Box<str>, (u64, usize)>,
     hits: u64,
     misses: u64,
-    /// Cached result of the last [`persisted_in`] walk, kept current
-    /// incrementally by `put` and refreshed by [`RuleStore::persisted_cached`]
-    /// at most once per [`PERSISTED_SCAN_INTERVAL`].
-    persisted_count: usize,
-    persisted_at: Option<Instant>,
 }
 
 impl RuleStore {
-    /// Opens (creating if needed) a store rooted at `dir`, scanning any
-    /// existing segment files into the in-memory index. `capacity`
-    /// bounds the in-memory cache, minimum 1.
+    /// Opens (creating if needed) a store rooted at `dir`, scanning the
+    /// log's record headers into the in-memory index. `capacity` bounds
+    /// the in-memory cache, minimum 1.
     pub fn open(dir: impl Into<PathBuf>, capacity: usize) -> io::Result<RuleStore> {
         let dir = dir.into();
-        let segments_dir = dir.join(SEGMENTS_DIR);
         std::fs::create_dir_all(&dir)?;
-        std::fs::create_dir_all(&segments_dir)?;
-        let mut seg_numbers: Vec<u32> = std::fs::read_dir(&segments_dir)?
-            .filter_map(Result::ok)
-            .filter_map(|e| segment_number(&e.path()))
-            .collect();
-        seg_numbers.sort_unstable();
-        let mut index = HashMap::new();
-        for &seg in &seg_numbers {
-            // Ascending order: a rule re-packed into a later segment wins.
-            scan_segment(&segments_dir, seg, |id, loc| {
-                index.insert(id.to_string(), loc);
-            });
+        let path = dir.join(LOG_FILE);
+        let created = !path.exists();
+        let log = OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(&path)?;
+        if created {
+            // A synced record is only durable once the log's directory
+            // entry is too.
+            File::open(&dir)?.sync_all()?;
+            store_metrics().fsyncs.inc();
         }
-        // Seed the miss fast-path with every id persisted anywhere:
-        // packed records plus the stems of loose per-rule files (flat
-        // and sharded — one directory walk, no file is opened).
-        let mut known: HashSet<String> = index.keys().cloned().collect();
-        for_each_loose_id(&dir, |id| {
-            known.insert(id.to_string());
-        });
+        let mut index = HashMap::new();
+        let torn = scan_lines(&log, |offset, line| {
+            if let Some(id) = record_id(line) {
+                index.insert(id.into(), (offset, line.len()));
+            }
+        })?;
         Ok(RuleStore {
-            dir,
-            segments_dir,
+            log,
+            torn,
             capacity: capacity.max(1),
             cache: HashMap::new(),
             order: VecDeque::new(),
             index,
-            known,
-            next_segment: seg_numbers.last().map_or(1, |n| n + 1),
             hits: 0,
             misses: 0,
-            persisted_count: 0,
-            persisted_at: None,
         })
-    }
-
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Number of rules currently cached in memory.
@@ -433,17 +392,6 @@ impl RuleStore {
     /// `(memory hits, misses that went to disk or failed)` counters.
     pub fn counters(&self) -> (u64, u64) {
         (self.hits, self.misses)
-    }
-
-    /// The sharded path of a rule: `<dir>/<shard>/<id>.json`.
-    fn path_for(&self, id: &str) -> PathBuf {
-        self.dir.join(shard_of(id)).join(format!("{id}.json"))
-    }
-
-    /// The pre-sharding flat path, still consulted (and migrated from) on
-    /// reads so old stores keep working.
-    fn flat_path_for(&self, id: &str) -> PathBuf {
-        self.dir.join(format!("{id}.json"))
     }
 
     fn touch(&mut self, id: &str) {
@@ -460,11 +408,10 @@ impl RuleStore {
         }
     }
 
-    /// Looks a rule up: memory first, then the segment index, then the
-    /// sharded path, then the legacy flat path (migrating the file into
-    /// its shard on a hit). Returns `None` for malformed ids, absent
-    /// files, and files that fail to decode (a corrupt file should read
-    /// as a miss, not take the server down).
+    /// Looks a rule up: memory first, then its record in the log.
+    /// Returns `None` for malformed ids, ids with no record, and records
+    /// that fail to decode (a corrupt record should read as a miss, not
+    /// take the server down).
     pub fn get(&mut self, id: &str) -> Option<StoredRule> {
         if !valid_rule_id(id) {
             return None;
@@ -477,66 +424,21 @@ impl RuleStore {
         }
         self.misses += 1;
         store_metrics().misses.inc();
-        // Miss fast-path: an id the open-time scan and every `put` since
-        // have never seen cannot be on disk — report absence without the
-        // segment lookup and the two-path file probe.
-        if !self.known.contains(id) {
+        let Some(&(offset, len)) = self.index.get(id) else {
             store_metrics().fastpath_misses.inc();
             return None;
-        }
-        let entry = self
-            .read_from_segment(id)
-            .or_else(|| self.read_from_loose_file(id))?;
-        if entry.id != id {
-            return None;
-        }
+        };
+        let mut line = vec![0u8; len];
+        self.log.read_exact_at(&mut line, offset).ok()?;
+        let entry = decode_record(id, &line)?;
         self.cache.insert(id.to_string(), entry.clone());
         self.touch(id);
         Some(entry)
     }
 
-    /// Reads a packed rule through the segment index. A stale or corrupt
-    /// index entry degrades to `None` (the loose-file paths still run).
-    fn read_from_segment(&self, id: &str) -> Option<StoredRule> {
-        let loc = self.index.get(id).copied()?;
-        let mut file = std::fs::File::open(segment_path(&self.segments_dir, loc.seg)).ok()?;
-        file.seek(SeekFrom::Start(loc.offset)).ok()?;
-        let mut record = vec![0u8; loc.len as usize];
-        file.read_exact(&mut record).ok()?;
-        let text = String::from_utf8(record).ok()?;
-        let entry = decode(STORED_RULE_KIND, &text).ok()?;
-        store_metrics().segment_reads.inc();
-        Some(entry)
-    }
-
-    /// Reads a rule from its per-rule file: sharded path first, then the
-    /// legacy flat path (migrating flat hits into their shard).
-    fn read_from_loose_file(&self, id: &str) -> Option<StoredRule> {
-        let sharded = self.path_for(id);
-        match std::fs::read_to_string(&sharded) {
-            Ok(text) => decode(STORED_RULE_KIND, &text).ok(),
-            Err(_) => {
-                // Flat-layout fallback: decode first, migrate second, so a
-                // corrupt legacy file is left in place for inspection.
-                let flat = self.flat_path_for(id);
-                let text = std::fs::read_to_string(&flat).ok()?;
-                let entry: StoredRule = decode(STORED_RULE_KIND, &text).ok()?;
-                if std::fs::create_dir_all(sharded.parent().expect("sharded path has parent"))
-                    .is_ok()
-                {
-                    // Best-effort: a failed rename still serves the rule.
-                    let _ = std::fs::rename(&flat, &sharded);
-                }
-                Some(entry)
-            }
-        }
-    }
-
-    /// Persists a rule (write file, then cache). The write goes through a
-    /// temp file + rename so a crash never leaves a half-written rule;
-    /// the temp name carries the pid and a counter so two processes
-    /// sharing the store directory cannot interleave writes to one temp
-    /// file and rename a torn document into place.
+    /// Persists a rule (append to the log, then cache). The record goes
+    /// out in one write and `put` returns only after the data is synced,
+    /// so an acknowledged rule survives a crash or power loss.
     pub fn put(&mut self, entry: StoredRule) -> io::Result<()> {
         if !valid_rule_id(&entry.id) {
             return Err(io::Error::new(
@@ -544,349 +446,97 @@ impl RuleStore {
                 format!("invalid rule id `{}`", entry.id),
             ));
         }
-        let text = encode(STORED_RULE_KIND, &entry);
-        let shard = self.dir.join(shard_of(&entry.id));
-        std::fs::create_dir_all(&shard)?;
-        static TMP_COUNTER: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let tmp = shard.join(format!(
-            "{}.{}.{}.tmp",
-            entry.id,
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        ));
-        // The known-id set answers "is this rule already on disk?" from
-        // memory — the historical implementation probed the segment
-        // index plus two candidate paths with filesystem calls here.
-        let newly_persisted = !self.known.contains(&entry.id);
-        std::fs::write(&tmp, &text)?;
-        std::fs::rename(&tmp, self.path_for(&entry.id))?;
-        if newly_persisted {
-            self.known.insert(entry.id.clone());
-            // Keep the cached persisted count current without a rescan
-            // (only while a scan is live — before the first
-            // `persisted_cached` call there is no count to maintain).
-            if self.persisted_at.is_some() {
-                self.persisted_count += 1;
-            }
+        let envelope = encode(STORED_RULE_KIND, &entry);
+        let mut bytes = Vec::with_capacity(entry.id.len() + envelope.len() + 4);
+        if self.torn {
+            bytes.extend_from_slice(b"\0\n");
         }
+        let start = bytes.len();
+        bytes.extend_from_slice(entry.id.as_bytes());
+        bytes.push(b'\t');
+        bytes.extend_from_slice(envelope.as_bytes());
+        let len = bytes.len() - start;
+        bytes.push(b'\n');
+        // A failed or partial write can leave a torn tail behind.
+        self.torn = true;
+        self.log.write_all(&bytes)?;
+        self.log.sync_data()?;
+        store_metrics().fsyncs.inc();
+        self.torn = false;
+        // An append leaves the file position at the end of this record.
+        let end = self.log.stream_position()?;
         let id = entry.id.clone();
+        self.index
+            .insert(id.as_str().into(), (end - 1 - len as u64, len));
         self.cache.insert(id.clone(), entry);
         self.touch(&id);
         Ok(())
     }
 
-    /// Number of rules persisted on disk (loose per-rule files plus
-    /// distinct rules inside segments). This walks the directory — call
-    /// [`persisted_in`] with a saved [`RuleStore::dir`] to scan without
-    /// holding a store lock, or [`RuleStore::persisted_cached`] for the
-    /// throttled count that `/health` and `/metrics` report.
+    /// Number of distinct rules persisted in the log.
     pub fn persisted(&self) -> usize {
-        persisted_in(&self.dir)
-    }
-
-    /// The persisted-rule count backed by a cache: the full directory
-    /// walk of [`persisted_in`] runs at most once per second, `put`
-    /// keeps the count current in between, and every other call is a
-    /// field read. This is what `/health` and `/metrics` use so a
-    /// monitoring scrape never stalls a request behind a directory walk.
-    pub fn persisted_cached(&mut self) -> usize {
-        let stale = self
-            .persisted_at
-            .map_or(true, |at| at.elapsed() >= PERSISTED_SCAN_INTERVAL);
-        if stale {
-            self.persisted_count = persisted_in(&self.dir);
-            self.persisted_at = Some(Instant::now());
-        }
-        self.persisted_count
-    }
-
-    /// Number of distinct rules reachable through the segment index.
-    pub fn segment_rules(&self) -> usize {
         self.index.len()
     }
 
-    /// Number of segment files referenced by the index.
-    pub fn segment_files(&self) -> usize {
-        self.index
-            .values()
-            .map(|loc| loc.seg)
-            .collect::<BTreeSet<u32>>()
-            .len()
-    }
-
-    /// Packs every loose per-rule file — sharded and legacy flat — into
-    /// one new append-only segment file, then deletes the loose sources
-    /// and indexes the packed records. Returns the number of rules
-    /// packed (`0` when there was nothing loose).
-    ///
-    /// Crash-safe: the full segment is written to a temp file and
-    /// renamed into place before any source file is removed. Corrupt or
-    /// mismatched loose files are skipped and **stay put** for
-    /// inspection, exactly like the flat-layout migration path.
-    pub fn pack(&mut self) -> io::Result<usize> {
-        let mut sources: Vec<(PathBuf, StoredRule)> = Vec::new();
-        let mut consider = |path: PathBuf| {
-            let id = match path.file_stem().and_then(|s| s.to_str()) {
-                Some(stem) if valid_rule_id(stem) => stem.to_string(),
-                _ => return,
-            };
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                return;
-            };
-            match decode::<StoredRule>(STORED_RULE_KIND, &text) {
-                Ok(entry) if entry.id == id => sources.push((path, entry)),
-                // Corrupt / mismatched: leave the file alone.
-                _ => {}
-            }
-        };
-        for entry in std::fs::read_dir(&self.dir)?.filter_map(Result::ok) {
-            let path = entry.path();
-            if path.is_file() && path.extension().is_some_and(|x| x == "json") {
-                consider(path);
-            } else if path.is_dir()
-                && path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(is_shard_name)
-            {
-                for file in std::fs::read_dir(&path)?.filter_map(Result::ok) {
-                    let file = file.path();
-                    if file.is_file() && file.extension().is_some_and(|x| x == "json") {
-                        consider(file);
-                    }
-                }
-            }
-        }
-        if sources.is_empty() {
-            return Ok(0);
-        }
-
-        let seg = self.next_segment;
-        let mut text = String::new();
-        let mut locs: Vec<(String, SegLoc)> = Vec::with_capacity(sources.len());
-        for (_, entry) in &sources {
-            let record = encode(STORED_RULE_KIND, entry);
-            debug_assert!(!record.contains('\n'), "codec must escape newlines");
-            locs.push((
-                entry.id.clone(),
-                SegLoc {
-                    seg,
-                    offset: text.len() as u64,
-                    len: record.len() as u32,
-                },
-            ));
-            text.push_str(&record);
-            text.push('\n');
-        }
-        let tmp = self
-            .segments_dir
-            .join(format!("seg-{seg:06}.{}.tmp", std::process::id()));
-        std::fs::write(&tmp, &text)?;
-        std::fs::rename(&tmp, segment_path(&self.segments_dir, seg))?;
-        self.next_segment = seg + 1;
-        for (path, _) in &sources {
-            let _ = std::fs::remove_file(path);
-        }
-        for (id, loc) in locs {
-            // Invariant: ids never change across a pack. Packing moves a
-            // record between layouts (loose file → segment) but the rule
-            // set itself — and therefore `persisted_cached()` and any
-            // index keyed by rule id, like the suggestion index — is
-            // unchanged. Under the single-writer contract every packed
-            // id was already known (seeded at open or inserted by the
-            // `put` that wrote the loose file).
-            debug_assert!(
-                self.known.contains(&id),
-                "pack packed an id the store never saw: {id}"
-            );
-            self.known.insert(id.clone());
-            self.index.insert(id, loc);
-        }
-        Ok(sources.len())
-    }
-
-    /// Number of distinct rule ids the in-memory fast-path set tracks.
-    /// Equal to [`RuleStore::persisted`] under the single-writer
-    /// contract (and pinned equal across `pack` by the invariant test).
-    pub fn tracked_ids(&self) -> usize {
-        self.known.len()
-    }
-
-    /// Reads every persisted rule once — packed records first, then
-    /// loose files whose ids the segment index does not cover (the same
-    /// precedence a `get` uses) — calling `found` for each. Corrupt or
-    /// mismatched records are skipped. This is the open-time feed for
-    /// the suggestion index; it never touches the LRU cache.
+    /// Reads every persisted rule once, in one pass over the log in log
+    /// order, calling `found` for each. Superseded and corrupt records
+    /// are skipped. This is the open-time feed for the suggestion index;
+    /// it never touches the LRU cache.
     pub fn for_each_stored(&self, mut found: impl FnMut(StoredRule)) {
-        for id in self.index.keys() {
-            if let Some(entry) = self.read_from_segment(id) {
-                if entry.id == *id {
-                    found(entry);
-                }
+        let _ = scan_lines(&self.log, |offset, line| {
+            let Some(id) = record_id(line) else { return };
+            if self.index.get(id) != Some(&(offset, line.len())) {
+                return; // superseded, or appended by another writer since open
             }
-        }
-        for_each_loose_id(&self.dir, |id| {
-            if self.index.contains_key(id) {
-                return;
-            }
-            if let Some(entry) = self.read_from_loose_file(id) {
-                if entry.id == id {
-                    found(entry);
-                }
+            if let Some(entry) = decode_record(id, line) {
+                found(entry);
             }
         });
     }
 }
 
-/// Walks the loose per-rule files of a store — flat `.json` files at the
-/// root and the contents of every shard subdirectory — yielding each
-/// valid rule-id stem. Files are not opened; ids are read off the names.
-fn for_each_loose_id(dir: &Path, mut found: impl FnMut(&str)) {
-    let visit = |dir: &Path, found: &mut dyn FnMut(&str)| {
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.filter_map(Result::ok) {
-                let path = entry.path();
-                if path.is_file() && path.extension().is_some_and(|x| x == "json") {
-                    if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                        if valid_rule_id(stem) {
-                            found(stem);
-                        }
-                    }
-                }
-            }
+/// Streams the complete lines of a log from its start, calling `line`
+/// with each one's offset and bytes (without the `\n`). Returns whether
+/// the log ends in a torn tail — a last line with no `\n`, which is
+/// never passed on.
+fn scan_lines(mut file: &File, mut line: impl FnMut(u64, &[u8])) -> io::Result<bool> {
+    file.seek(SeekFrom::Start(0))?;
+    let mut reader = BufReader::new(file);
+    let mut buf = Vec::new();
+    let mut offset = 0u64;
+    loop {
+        buf.clear();
+        let n = reader.read_until(b'\n', &mut buf)?;
+        if n == 0 {
+            return Ok(false);
         }
-    };
-    visit(dir, &mut found);
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.filter_map(Result::ok) {
-            let path = entry.path();
-            if path.is_dir()
-                && path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(is_shard_name)
-            {
-                visit(&path, &mut found);
-            }
+        if buf.last() != Some(&b'\n') {
+            return Ok(true);
         }
+        line(offset, &buf[..n - 1]);
+        offset += n as u64;
     }
 }
 
-/// The segment number encoded in a `seg-NNNNNN.seg` file name, if the
-/// path is shaped like one.
-fn segment_number(path: &Path) -> Option<u32> {
-    if path.extension().and_then(|x| x.to_str()) != Some("seg") {
+/// The rule id heading a log line, when the line is shaped like a
+/// record: a valid id, a tab, and an envelope ending in `}`. Parses no
+/// JSON, so the open-time scan stays a byte scan.
+fn record_id(line: &[u8]) -> Option<&str> {
+    if line.last() != Some(&b'}') {
         return None;
     }
-    path.file_stem()
-        .and_then(|s| s.to_str())
-        .and_then(|stem| stem.strip_prefix("seg-"))
-        .and_then(|n| n.parse().ok())
+    let tab = line.iter().take(65).position(|&b| b == b'\t')?;
+    let id = std::str::from_utf8(&line[..tab]).ok()?;
+    valid_rule_id(id).then_some(id)
 }
 
-fn segment_path(segments_dir: &Path, seg: u32) -> PathBuf {
-    segments_dir.join(format!("seg-{seg:06}.seg"))
-}
-
-/// Scans one segment file, calling `found` for every decodable record
-/// (corrupt lines — e.g. a torn tail — are skipped). I/O errors read as
-/// an empty segment.
-fn scan_segment(segments_dir: &Path, seg: u32, mut found: impl FnMut(&str, SegLoc)) {
-    let Ok(text) = std::fs::read_to_string(segment_path(segments_dir, seg)) else {
-        return;
-    };
-    let mut offset = 0u64;
-    for line in text.split_inclusive('\n') {
-        let record = line.trim_end_matches('\n');
-        if !record.is_empty() {
-            if let Ok(doc) = cornet_serde::parse(record) {
-                if let Ok(payload) = cornet_serde::open_envelope(&doc, STORED_RULE_KIND) {
-                    if let Some(id) = payload.get("id").and_then(Json::as_str) {
-                        if valid_rule_id(id) {
-                            found(
-                                id,
-                                SegLoc {
-                                    seg,
-                                    offset,
-                                    len: record.len() as u32,
-                                },
-                            );
-                        }
-                    }
-                }
-            }
-        }
-        offset += line.len() as u64;
-    }
-}
-
-/// The shard subdirectory of a rule id: its first two hex digits (after
-/// the `r` prefix). Short ids — legal per [`valid_rule_id`] but never
-/// produced by [`rule_id`] — shard on whatever digits they have.
-pub fn shard_of(id: &str) -> &str {
-    let end = id.len().min(3);
-    &id[1..end]
-}
-
-/// True when a directory name is shaped like a shard (one or two
-/// lowercase hex characters). Anything else under the store root — e.g.
-/// the service's `sessions` directory — is not scanned for rules.
-fn is_shard_name(name: &str) -> bool {
-    (1..=2).contains(&name.len())
-        && name
-            .chars()
-            .all(|c| c.is_ascii_hexdigit() && !c.is_ascii_uppercase())
-}
-
-/// Counts the **distinct** rules persisted under a store directory:
-/// flat `.json` files at the root (legacy layout), the contents of every
-/// shard subdirectory, and the records inside packed segment files —
-/// deduplicated by rule id, since packing can briefly leave a rule both
-/// loose and in a segment (crash between rename and source delete).
-pub fn persisted_in(dir: &Path) -> usize {
-    let mut ids: BTreeSet<String> = BTreeSet::new();
-    let mut collect_stems = |dir: &Path| {
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.filter_map(Result::ok) {
-                let path = entry.path();
-                if path.is_file() && path.extension().is_some_and(|x| x == "json") {
-                    if let Some(stem) = path.file_stem().and_then(|s| s.to_str()) {
-                        ids.insert(stem.to_string());
-                    }
-                }
-            }
-        }
-    };
-    collect_stems(dir);
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.filter_map(Result::ok) {
-            let path = entry.path();
-            if path.is_dir()
-                && path
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .is_some_and(is_shard_name)
-            {
-                collect_stems(&path);
-            }
-        }
-    }
-    let segments_dir = dir.join(SEGMENTS_DIR);
-    let mut seg_numbers: Vec<u32> = std::fs::read_dir(&segments_dir)
-        .map(|entries| {
-            entries
-                .filter_map(Result::ok)
-                .filter_map(|e| segment_number(&e.path()))
-                .collect()
-        })
-        .unwrap_or_default();
-    seg_numbers.sort_unstable();
-    for seg in seg_numbers {
-        scan_segment(&segments_dir, seg, |id, _| {
-            ids.insert(id.to_string());
-        });
-    }
-    ids.len()
+/// Decodes the record line of rule `id`. `None` when the line is corrupt
+/// or its payload names another rule.
+fn decode_record(id: &str, line: &[u8]) -> Option<StoredRule> {
+    let envelope = line.strip_prefix(id.as_bytes())?.strip_prefix(b"\t")?;
+    let entry: StoredRule = decode(STORED_RULE_KIND, std::str::from_utf8(envelope).ok()?).ok()?;
+    store_metrics().segment_reads.inc();
+    (entry.id == id).then_some(entry)
 }
 
 #[cfg(test)]
@@ -1068,7 +718,7 @@ mod tests {
             store.put(entry(id, &format!("P{i}"))).unwrap();
         }
         assert_eq!(store.cached(), 2, "capacity bounds the cache");
-        assert_eq!(store.persisted(), 4, "eviction never deletes files");
+        assert_eq!(store.persisted(), 4, "eviction never drops a record");
         // The evicted entry is still retrievable (from disk).
         assert!(store.get(&ids[0]).is_some());
         std::fs::remove_dir_all(&dir).ok();
@@ -1092,94 +742,30 @@ mod tests {
     }
 
     #[test]
-    fn puts_land_in_shard_subdirectories() {
-        let dir = temp_dir("shard");
-        let mut store = RuleStore::open(&dir, 8).unwrap();
-        let id = rule_id(&["x".into()], &[0], &[]);
-        store.put(entry(&id, "RW")).unwrap();
-        let sharded = dir.join(shard_of(&id)).join(format!("{id}.json"));
-        assert!(sharded.is_file(), "rule not at {}", sharded.display());
-        assert!(!dir.join(format!("{id}.json")).exists(), "no flat file");
-        assert_eq!(persisted_in(&dir), 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn flat_layout_files_migrate_on_read() {
-        let dir = temp_dir("migrate");
-        let id = rule_id(&["legacy".into()], &[0], &[]);
-        let e = entry(&id, "RW");
-        // Simulate a pre-sharding store: the envelope sits at the root.
-        std::fs::create_dir_all(&dir).unwrap();
-        let flat = dir.join(format!("{id}.json"));
-        std::fs::write(&flat, encode(STORED_RULE_KIND, &e)).unwrap();
-
-        let mut store = RuleStore::open(&dir, 8).unwrap();
-        assert_eq!(store.get(&id).as_ref(), Some(&e), "flat file readable");
-        let sharded = dir.join(shard_of(&id)).join(format!("{id}.json"));
-        assert!(sharded.is_file(), "file migrated into its shard");
-        assert!(!flat.exists(), "flat copy removed by the migration");
-        assert_eq!(persisted_in(&dir), 1, "migration does not duplicate");
-
-        // A cold re-open reads it straight from the shard.
-        let mut reopened = RuleStore::open(&dir, 8).unwrap();
-        assert_eq!(reopened.get(&id).as_ref(), Some(&e));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_flat_files_miss_without_migrating() {
-        let dir = temp_dir("corrupt-flat");
-        std::fs::create_dir_all(&dir).unwrap();
-        let id = rule_id(&["bad".into()], &[0], &[]);
-        let flat = dir.join(format!("{id}.json"));
-        std::fs::write(&flat, "{not json").unwrap();
-        let mut store = RuleStore::open(&dir, 8).unwrap();
-        assert!(store.get(&id).is_none());
-        assert!(flat.exists(), "corrupt legacy file left for inspection");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn persisted_scans_shards_but_not_foreign_directories() {
-        let dir = temp_dir("persisted");
-        let mut store = RuleStore::open(&dir, 8).unwrap();
-        let ids: Vec<String> = (0..3)
-            .map(|i| rule_id(&[format!("p{i}")], &[0], &[]))
-            .collect();
-        for id in &ids {
-            store.put(entry(id, "P")).unwrap();
-        }
-        // A legacy flat file still counts…
-        let legacy = rule_id(&["flat".into()], &[0], &[]);
-        std::fs::write(
-            dir.join(format!("{legacy}.json")),
-            encode(STORED_RULE_KIND, &entry(&legacy, "F")),
-        )
-        .unwrap();
-        // …but json files in non-shard directories (e.g. sessions) do not.
-        let sessions = dir.join("sessions");
-        std::fs::create_dir_all(&sessions).unwrap();
-        std::fs::write(sessions.join("s1.json"), "{}").unwrap();
-        assert_eq!(persisted_in(&dir), 4);
-        assert!(shard_of(&ids[0]).len() == 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_files_read_as_misses() {
+    fn corrupt_records_read_as_misses() {
         let dir = temp_dir("corrupt");
+        let bad = rule_id(&["z".into()], &[0], &[]);
+        let wrong_kind = rule_id(&["k".into()], &[0], &[]);
+        let good = rule_id(&["g".into()], &[0], &[]);
+        std::fs::create_dir_all(&dir).unwrap();
+        // Well-framed lines whose envelopes do not decode: broken JSON,
+        // and a valid envelope of the wrong kind.
+        let lines = format!(
+            "{bad}\t{{not json}}\n{wrong_kind}\t{}\n",
+            cornet_serde::encode("table", &Json::Null)
+        );
+        std::fs::write(dir.join(LOG_FILE), lines).unwrap();
         let mut store = RuleStore::open(&dir, 4).unwrap();
-        let id = rule_id(&["z".into()], &[0], &[]);
-        std::fs::write(store.dir().join(format!("{id}.json")), "{not json").unwrap();
-        assert!(store.get(&id).is_none());
-        // Wrong envelope kind is also a miss, not a panic.
-        std::fs::write(
-            store.dir().join(format!("{id}.json")),
-            cornet_serde::encode("table", &Json::Null),
-        )
-        .unwrap();
-        assert!(store.get(&id).is_none());
+        assert!(store.get(&bad).is_none());
+        assert!(store.get(&wrong_kind).is_none());
+        // A good record after them still reads, live and after a reopen.
+        store.put(entry(&good, "G")).unwrap();
+        let mut reopened = RuleStore::open(&dir, 4).unwrap();
+        assert_eq!(reopened.get(&good), Some(entry(&good, "G")));
+        assert!(reopened.get(&bad).is_none());
+        let mut seen = Vec::new();
+        reopened.for_each_stored(|r| seen.push(r.id));
+        assert_eq!(seen, vec![good]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1190,121 +776,6 @@ mod tests {
         let wire = encode(STORED_RULE_KIND, &e);
         let back: StoredRule = decode(STORED_RULE_KIND, &wire).unwrap();
         assert_eq!(back, e);
-    }
-
-    #[test]
-    fn pack_round_trips_and_survives_a_reopen() {
-        let dir = temp_dir("pack");
-        let ids: Vec<String> = (0..3)
-            .map(|i| rule_id(&[format!("seg{i}")], &[0], &[]))
-            .collect();
-        {
-            let mut store = RuleStore::open(&dir, 8).unwrap();
-            for (i, id) in ids.iter().enumerate() {
-                store.put(entry(id, &format!("S{i}"))).unwrap();
-            }
-            assert_eq!(store.pack().unwrap(), 3);
-            assert_eq!(store.segment_rules(), 3);
-            assert_eq!(store.segment_files(), 1);
-            // The loose files are gone; reads come from the segment.
-            for id in &ids {
-                assert!(!dir.join(shard_of(id)).join(format!("{id}.json")).exists());
-            }
-            assert_eq!(store.pack().unwrap(), 0, "nothing left to pack");
-        }
-        let mut reopened = RuleStore::open(&dir, 8).unwrap();
-        assert_eq!(reopened.segment_rules(), 3, "index rebuilt at open");
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(
-                reopened.get(id).as_ref(),
-                Some(&entry(id, &format!("S{i}"))),
-                "rule {i} readable from the segment after a cold open"
-            );
-        }
-        assert_eq!(persisted_in(&dir), 3);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn pack_migrates_flat_and_sharded_but_leaves_corrupt_files() {
-        let dir = temp_dir("pack-migrate");
-        std::fs::create_dir_all(&dir).unwrap();
-        // A legacy flat file, a sharded file, and a corrupt flat file.
-        let flat_id = rule_id(&["flat-src".into()], &[0], &[]);
-        let flat = dir.join(format!("{flat_id}.json"));
-        std::fs::write(&flat, encode(STORED_RULE_KIND, &entry(&flat_id, "F"))).unwrap();
-        let bad_id = rule_id(&["bad-src".into()], &[0], &[]);
-        let bad = dir.join(format!("{bad_id}.json"));
-        std::fs::write(&bad, "{torn").unwrap();
-
-        let mut store = RuleStore::open(&dir, 8).unwrap();
-        let sharded_id = rule_id(&["shard-src".into()], &[0], &[]);
-        store.put(entry(&sharded_id, "Sh")).unwrap();
-
-        assert_eq!(
-            store.pack().unwrap(),
-            2,
-            "flat + sharded, not the corrupt one"
-        );
-        assert!(!flat.exists(), "packed flat source removed");
-        assert!(bad.exists(), "corrupt legacy file left for inspection");
-        assert_eq!(store.get(&flat_id).as_ref(), Some(&entry(&flat_id, "F")));
-        assert_eq!(store.get(&bad_id), None, "corrupt file still a miss");
-
-        let mut reopened = RuleStore::open(&dir, 8).unwrap();
-        assert_eq!(
-            reopened.get(&sharded_id).as_ref(),
-            Some(&entry(&sharded_id, "Sh"))
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn persisted_counts_segments_and_loose_files_without_double_counting() {
-        let dir = temp_dir("pack-persisted");
-        let mut store = RuleStore::open(&dir, 8).unwrap();
-        let packed_ids: Vec<String> = (0..2)
-            .map(|i| rule_id(&[format!("cold{i}")], &[0], &[]))
-            .collect();
-        for id in &packed_ids {
-            store.put(entry(id, "C")).unwrap();
-        }
-        assert_eq!(store.pack().unwrap(), 2);
-        // New hot rules land as loose files after the pack.
-        let hot = rule_id(&["hot".into()], &[0], &[]);
-        store.put(entry(&hot, "H")).unwrap();
-        assert_eq!(persisted_in(&dir), 3, "2 packed + 1 loose");
-        assert_eq!(store.persisted(), 3);
-        // Re-packing folds the hot rule into a second segment.
-        assert_eq!(store.pack().unwrap(), 1);
-        assert_eq!(store.segment_files(), 2);
-        assert_eq!(persisted_in(&dir), 3, "distinct ids, no double count");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn persisted_cached_tracks_puts_incrementally() {
-        let dir = temp_dir("persisted-cached");
-        let mut store = RuleStore::open(&dir, 8).unwrap();
-        assert_eq!(store.persisted_cached(), 0, "first call scans");
-        let ids: Vec<String> = (0..3)
-            .map(|i| rule_id(&[format!("inc{i}")], &[0], &[]))
-            .collect();
-        for id in &ids {
-            store.put(entry(id, "I")).unwrap();
-        }
-        assert_eq!(store.persisted_cached(), 3, "puts advance the count");
-        // Re-putting an existing id must not double count.
-        store.put(entry(&ids[0], "I2")).unwrap();
-        assert_eq!(store.persisted_cached(), 3);
-        assert_eq!(store.persisted(), 3, "cached count matches the walk");
-        // Packing moves rules into a segment; the distinct count holds.
-        assert_eq!(store.pack().unwrap(), 3);
-        assert_eq!(store.persisted_cached(), 3);
-        // …and a put of a packed id is still not new on disk.
-        store.put(entry(&ids[1], "I3")).unwrap();
-        assert_eq!(store.persisted_cached(), 3);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1323,33 +794,13 @@ mod tests {
             let mut store = RuleStore::open(&dir, 8).unwrap();
             store.put(entry(&id, "O")).unwrap();
             assert!(store.get(&id).is_some(), "cache hit");
-            store.pack().unwrap();
         }
-        // A cold store must miss memory and read from the segment.
+        // A cold store must miss memory and read the record from the log.
         let mut reopened = RuleStore::open(&dir, 8).unwrap();
         assert!(reopened.get(&id).is_some());
         assert!(metrics.hits.get() > h0, "cache hit counted");
         assert!(metrics.misses.get() > m0, "cold lookup counted as a miss");
-        assert!(metrics.segment_reads.get() > s0, "segment read counted");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_segment_lines_are_skipped_at_scan() {
-        let dir = temp_dir("pack-corrupt-line");
-        let mut store = RuleStore::open(&dir, 8).unwrap();
-        let id = rule_id(&["ok".into()], &[0], &[]);
-        store.put(entry(&id, "Ok")).unwrap();
-        store.pack().unwrap();
-        // Append a torn record to the segment (simulated crash tail).
-        let seg = segment_path(&dir.join(SEGMENTS_DIR), 1);
-        let mut text = std::fs::read_to_string(&seg).unwrap();
-        text.push_str("{\"v\":1,\"kind\":\"stored-rule\",\"payl");
-        std::fs::write(&seg, text).unwrap();
-
-        let mut reopened = RuleStore::open(&dir, 8).unwrap();
-        assert_eq!(reopened.segment_rules(), 1, "torn tail ignored");
-        assert_eq!(reopened.get(&id).as_ref(), Some(&entry(&id, "Ok")));
+        assert!(metrics.segment_reads.get() > s0, "log read counted");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1379,7 +830,7 @@ mod tests {
             f1 + 1,
             "only the absent id short-circuited"
         );
-        assert_eq!(reopened.tracked_ids(), 1);
+        assert_eq!(reopened.persisted(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1433,59 +884,124 @@ mod tests {
     }
 
     #[test]
-    fn pack_never_changes_the_id_set() {
-        // The invariant `/health` and the suggestion index both lean on:
-        // ids never change across a pack. `persisted_cached()` and the
-        // fast-path set must agree before, across and after the pack —
-        // any transient disagreement here would surface as a suggestion
-        // for a rule `get` then reports absent.
-        let dir = temp_dir("pack-id-set");
+    fn for_each_stored_visits_each_latest_record_once_in_log_order() {
+        let dir = temp_dir("scan-all");
         let mut store = RuleStore::open(&dir, 8).unwrap();
-        let ids: Vec<String> = (0..4)
-            .map(|i| rule_id(&[format!("inv{i}")], &[0], &[]))
-            .collect();
+        let first = rule_id(&["first".into()], &[0], &[]);
+        let second = rule_id(&["second".into()], &[0], &[]);
+        store.put(entry(&first, "F")).unwrap();
+        store.put(entry(&second, "S")).unwrap();
+        // A re-put appends a second record for `first`: it supersedes the
+        // earlier one, so the id is visited once, at its new position,
+        // and still counts once.
+        store.put(entry(&first, "F")).unwrap();
+        assert_eq!(store.persisted(), 2, "a re-put is not a new rule");
+
+        let want = vec![second.clone(), first.clone()];
+        let mut seen: Vec<String> = Vec::new();
+        store.for_each_stored(|r| seen.push(r.id));
+        assert_eq!(seen, want);
+
+        // A reopened store scans identically (the index rebuild path).
+        let reopened = RuleStore::open(&dir, 8).unwrap();
+        assert_eq!(reopened.persisted(), 2);
+        let mut seen2: Vec<String> = Vec::new();
+        reopened.for_each_stored(|r| seen2.push(r.id));
+        assert_eq!(seen2, want);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The ids the log holds, in log order, each read back through both
+    /// the scan and `get` of a freshly opened store.
+    fn recovered_ids(dir: &std::path::Path) -> Vec<String> {
+        let mut store = RuleStore::open(dir, 64).unwrap();
+        let mut ids = Vec::new();
+        store.for_each_stored(|r| ids.push(r.id));
+        assert_eq!(store.persisted(), ids.len(), "no unreadable id indexed");
         for id in &ids {
-            store.put(entry(id, "V")).unwrap();
+            assert!(store.get(id).is_some(), "{id} scanned but not readable");
         }
-        assert_eq!(store.persisted_cached(), 4);
-        assert_eq!(store.tracked_ids(), 4);
-        assert_eq!(store.pack().unwrap(), 4);
-        assert_eq!(store.tracked_ids(), 4, "pack minted or dropped an id");
-        assert_eq!(store.persisted_cached(), 4);
-        assert_eq!(store.persisted(), 4, "the walk agrees with the caches");
-        // Every id is still readable, now out of the segment.
-        for id in &ids {
-            assert!(store.get(id).is_some());
+        ids
+    }
+
+    #[test]
+    fn every_torn_tail_recovers_exactly_the_acknowledged_prefix() {
+        let dir = temp_dir("crash");
+        let ids: Vec<String> = (0..3)
+            .map(|i| rule_id(&[format!("crash{i}")], &[0], &[]))
+            .collect();
+        {
+            let mut store = RuleStore::open(&dir, 8).unwrap();
+            for id in &ids {
+                store.put(entry(id, "C")).unwrap();
+            }
+        }
+        let log = dir.join(LOG_FILE);
+        let full = std::fs::read(&log).unwrap();
+        let last_start = full[..full.len() - 1]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .unwrap()
+            + 1;
+        // Every cut inside the last record loses exactly that record; a
+        // cut after its `\n` and a zero-filled tail lose nothing.
+        let mut crashes: Vec<(Vec<u8>, usize)> = (last_start..=full.len())
+            .map(|cut| (full[..cut].to_vec(), if cut == full.len() { 3 } else { 2 }))
+            .collect();
+        crashes.push(([&full[..], &[0u8; 64]].concat(), 3));
+        let later = rule_id(&["after-the-crash".into()], &[0], &[]);
+        for (bytes, kept) in crashes {
+            std::fs::write(&log, &bytes).unwrap();
+            assert_eq!(recovered_ids(&dir), ids[..kept], "cut at {}", bytes.len());
+            // The next put closes off the torn fragment, which then never
+            // comes back, however it was cut.
+            let mut store = RuleStore::open(&dir, 8).unwrap();
+            store.put(entry(&later, "L")).unwrap();
+            drop(store);
+            let mut want = ids[..kept].to_vec();
+            want.push(later.clone());
+            assert_eq!(recovered_ids(&dir), want, "cut at {}", bytes.len());
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn for_each_stored_visits_segments_and_loose_files_once_each() {
-        let dir = temp_dir("scan-all");
-        let mut store = RuleStore::open(&dir, 8).unwrap();
-        let packed = rule_id(&["packed".into()], &[0], &[]);
-        store.put(entry(&packed, "P")).unwrap();
-        store.pack().unwrap();
-        let loose = rule_id(&["loose".into()], &[0], &[]);
-        store.put(entry(&loose, "L")).unwrap();
-        // Re-put a packed id as a loose file: the segment copy wins and
-        // the id is visited once, matching `get`'s precedence.
-        store.put(entry(&packed, "P")).unwrap();
-
-        let mut seen: Vec<String> = Vec::new();
-        store.for_each_stored(|r| seen.push(r.id));
-        seen.sort();
-        let mut want = vec![packed.clone(), loose.clone()];
-        want.sort();
-        assert_eq!(seen, want);
-
-        // A reopened store scans identically (the index rebuild path).
-        let reopened = RuleStore::open(&dir, 8).unwrap();
-        let mut seen2: Vec<String> = Vec::new();
-        reopened.for_each_stored(|r| seen2.push(r.id));
-        seen2.sort();
-        assert_eq!(seen2, want);
-        std::fs::remove_dir_all(&dir).ok();
+    fn fingerprints_match_their_golden_ids() {
+        // Ids are content addresses of stored records: a change to the
+        // fingerprint construction would orphan every stored rule.
+        let cells: Vec<String> = ["RW-131-T", "AB-22", "RW-7", "RS-762"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let green = Format::fill("#dcfce7");
+        let yellow = Format::fill("#fef9c3");
+        let classes = [
+            ClassFingerprint {
+                style: &green,
+                scope: TargetScope::Cell,
+                examples: &[2, 0],
+            },
+            ClassFingerprint {
+                style: &yellow,
+                scope: TargetScope::Row,
+                examples: &[3],
+            },
+        ];
+        assert_eq!(
+            rule_id(&cells, &[2, 0], &[1]),
+            "r43bc7292a70af405345ec27087943ed0"
+        );
+        assert_eq!(
+            rule_id_for(Some("acme"), &cells, &[2, 0], &[1]),
+            "r0951bca65c88d4b2c76dcd83f2b38b28"
+        );
+        assert_eq!(
+            rule_set_id(&cells, &classes, &[1]),
+            "rf810ee4e78bb812e188b4ad24862f227"
+        );
+        assert_eq!(
+            rule_set_id_for(Some("acme"), &cells, &classes, &[1]),
+            "r7b359eeed7152c6abcfce622da03b15c"
+        );
     }
 }

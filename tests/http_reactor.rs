@@ -106,8 +106,10 @@ fn idle_keep_alive_connections_cost_no_cpu() {
 fn shutdown_with_parked_connections_is_prompt_and_closes_every_fd() {
     let _serial = serial();
     let store = Store::new("shutdown");
-    let service = store.service();
+    // Counted before the service opens its rule log: the server owns the
+    // service, so its shutdown closes the log too.
     let before = open_fds();
+    let service = store.service();
     let mut server = Server::start_with("127.0.0.1:0", service, ServerConfig::default()).unwrap();
     let clients = parked_clients(&server, 50);
 
@@ -119,8 +121,9 @@ fn shutdown_with_parked_connections_is_prompt_and_closes_every_fd() {
         t0.elapsed()
     );
     drop(clients);
-    // The listener, the epoll set, the wake-up eventfd and every accepted
-    // socket are closed by the time `shutdown` returns.
+    // The listener, the epoll set, the wake-up eventfd, every accepted
+    // socket and the service's rule log are closed by the time `shutdown`
+    // returns.
     assert_eq!(open_fds(), before, "descriptors leaked by the server");
     drop(server);
 }
