@@ -1,16 +1,22 @@
 //! The end-to-end Cornet learner (Figure 2), including the constrained
 //! correct-and-relearn entry point ([`LearnSpec`]).
+//!
+//! Every learn is two steps: [`Cornet::prepare`] builds a [`ColumnContext`]
+//! from the cells alone (span `learn.predgen`, covering predicate
+//! generation and the signature build), then a search clusters
+//! (`learn.cluster`), enumerates and ranks over it. A rule-set learn runs
+//! all its classes and relaxed fallbacks over one shared context.
 
 use crate::cluster::{cluster_constrained, ClusterConfig};
 use crate::enumerate::{enumerate_rules, EnumConfig};
 use crate::features::rule_features_constrained;
 use crate::fullsearch::{full_search, FullSearchConfig};
-use crate::predgen::{generate_predicates, infer_type, GenConfig};
+use crate::predgen::{generate_predicates, infer_type, GenConfig, PredicateSet};
 use crate::rank::{score_descending, RankContext, Ranker, ScoredRule, SymbolicRanker};
 use crate::ruleset::{RuleSet, StyledRule};
 use crate::signature::CellSignatures;
 use cornet_obs::{Counter, Histogram, StageTimer};
-use cornet_table::{CellValue, Format, FormatTable, TargetScope};
+use cornet_table::{CellValue, DataType, Format, FormatTable, TargetScope};
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -25,7 +31,7 @@ struct LearnMetrics {
     abstentions: Counter,
     /// Relaxed-fallback learns ([`Cornet::learn_spec_relaxed`]).
     relaxed: Counter,
-    /// Multi-class rule-set learns ([`Cornet::learn_ruleset`]).
+    /// Rule-set learns ([`Cornet::learn_ruleset_in`]).
     rulesets: Counter,
     /// Per-stage wall time, labelled by pipeline stage.
     predgen: Histogram,
@@ -58,7 +64,7 @@ fn learn_metrics() -> &'static LearnMetrics {
             ),
             rulesets: registry.counter(
                 "cornet_learn_rulesets_total",
-                "Multi-class rule-set learns that produced a rule set",
+                "Rule-set learns that produced a rule set (every cornet-serve learn is one)",
             ),
             predgen: stage("predgen"),
             cluster: stage("cluster"),
@@ -280,6 +286,19 @@ impl LearnOutcome {
     }
 }
 
+/// A column prepared for learning by [`Cornet::prepare`]: its cells,
+/// predicates (§3.1), cell signatures (§3.2), display texts and type
+/// (§3.4). It derives from the cells alone, so it serves every search over
+/// the column: each class, each relaxed fallback, each session re-learn.
+#[derive(Debug)]
+pub struct ColumnContext {
+    cells: Vec<CellValue>,
+    predicates: PredicateSet,
+    signatures: CellSignatures,
+    cell_texts: Vec<String>,
+    dtype: Option<DataType>,
+}
+
 /// The Cornet learner: pipeline configuration plus a ranker.
 pub struct Cornet<R: Ranker = SymbolicRanker> {
     config: CornetConfig,
@@ -313,6 +332,19 @@ impl<R: Ranker> Cornet<R> {
         &self.ranker
     }
 
+    /// Prepares a column for learning; emits the `learn.predgen` span.
+    pub fn prepare(&self, cells: &[CellValue]) -> ColumnContext {
+        let _timer = StageTimer::start("learn.predgen", learn_metrics().predgen.clone());
+        let predicates = generate_predicates(cells, &self.config.gen);
+        ColumnContext {
+            signatures: CellSignatures::from_predicates(&predicates),
+            predicates,
+            cell_texts: cells.iter().map(CellValue::display_string).collect(),
+            dtype: infer_type(cells),
+            cells: cells.to_vec(),
+        }
+    }
+
     /// Learns a formatting rule from a column and user-formatted example
     /// indices (`C_obs`). Returns candidates sorted best-first.
     ///
@@ -323,7 +355,7 @@ impl<R: Ranker> Cornet<R> {
         cells: &[CellValue],
         observed: &[usize],
     ) -> Result<LearnOutcome, LearnError> {
-        self.learn_impl(cells, observed, &[], true)
+        self.learn_once(cells, observed, &[], true)
     }
 
     /// Learns a formatting rule under the spec's hard constraints: every
@@ -337,7 +369,7 @@ impl<R: Ranker> Cornet<R> {
     /// proved no rule in the language (within the configured bounds)
     /// satisfies the spec.
     pub fn learn_spec(&self, spec: &LearnSpec) -> Result<LearnOutcome, LearnError> {
-        self.learn_impl(&spec.cells, &spec.positives, &spec.negatives, true)
+        self.learn_once(&spec.cells, &spec.positives, &spec.negatives, true)
     }
 
     /// Best-effort fallback for an unsatisfiable spec: the search runs
@@ -346,68 +378,62 @@ impl<R: Ranker> Cornet<R> {
     /// disqualifying via
     /// [`crate::features::NEGATIVE_COVERAGE_FEATURE`] — so among
     /// inconsistent rules the one covering the fewest corrections ranks
-    /// first. `cornet-serve` serves this (flagged `consistent:false`)
-    /// when [`Cornet::learn_spec`] abstains.
+    /// first. A rule-set class falls back to this search when its
+    /// constrained search abstains.
     pub fn learn_spec_relaxed(&self, spec: &LearnSpec) -> Result<LearnOutcome, LearnError> {
         learn_metrics().relaxed.inc();
-        self.learn_impl(&spec.cells, &spec.positives, &spec.negatives, false)
+        self.learn_once(&spec.cells, &spec.positives, &spec.negatives, false)
     }
 
     /// Learns one disjoint styled rule per format class from a single
-    /// call — the rule-set generalisation of [`Cornet::learn_spec`].
+    /// call — the rule-set generalisation of [`Cornet::learn_spec`]. The
+    /// column is prepared once ([`Cornet::prepare`]) and shared by every
+    /// class's search; see [`Cornet::learn_ruleset_in`].
+    pub fn learn_ruleset(&self, spec: &RuleSetSpec) -> Result<RuleSetOutcome, LearnError> {
+        validate_classes(spec.cells.len(), &spec.classes, &spec.negatives)?;
+        self.learn_ruleset_in(&self.prepare(&spec.cells), &spec.classes, &spec.negatives)
+    }
+
+    /// Learns a rule set over an already-prepared column.
     ///
-    /// Each class k runs the constrained pipeline *one-vs-rest*: its own
-    /// positives are the examples, and the union of every other class's
-    /// positives with the spec's global negatives are hard negatives. The
-    /// per-class searches are therefore plain [`Cornet::learn_spec`]
-    /// calls — with a single class and no negatives the outcome is
+    /// Each class k runs the constrained search *one-vs-rest* over the
+    /// shared context: its own positives are the examples, and the union
+    /// of every other class's positives with the global `negatives` are
+    /// hard negatives. With a single class and no negatives the outcome is
     /// bit-identical to [`Cornet::learn_spec`] (and, transitively, to the
     /// historical `learn`), which `tests/ruleset_differential.rs` pins.
     ///
     /// **Per-class abstention:** when the constrained search proves class
-    /// k unsatisfiable, the class falls back to the relaxed search
-    /// ([`Cornet::learn_spec_relaxed`]) and its rule is flagged
-    /// `consistent: false`; the other classes are unaffected.
+    /// k unsatisfiable, the class falls back to the relaxed search (see
+    /// [`Cornet::learn_spec_relaxed`]) over the same context and its rule
+    /// is flagged `consistent: false`; the other classes are unaffected. A
+    /// class without hard negatives has no relaxed search to fall back to.
     ///
     /// The returned rules carry `priority = class index`, so
     /// [`RuleSet::apply`]'s lowest-priority-wins order resolves overlaps
     /// in favour of the earliest class. Styles are interned through one
     /// shared [`FormatTable`] in class order; each `rule.format` is the
     /// interned id of its class's style.
-    pub fn learn_ruleset(&self, spec: &RuleSetSpec) -> Result<RuleSetOutcome, LearnError> {
-        if spec.classes.is_empty() || spec.classes.iter().all(|c| c.positives.is_empty()) {
-            return Err(LearnError::NoExamples);
-        }
-        // Cross-class overlaps are conflicts: a cell can wear one style.
-        for (k, class) in spec.classes.iter().enumerate() {
-            for &i in &class.positives {
-                let clashes = spec.classes[..k].iter().any(|c| c.positives.contains(&i));
-                if clashes {
-                    return Err(LearnError::ConflictingExample(i));
-                }
-            }
-        }
-
+    ///
+    /// Index errors take precedence over [`LearnError::NoPredicates`].
+    pub fn learn_ruleset_in(
+        &self,
+        ctx: &ColumnContext,
+        classes: &[ClassSpec],
+        negatives: &[usize],
+    ) -> Result<RuleSetOutcome, LearnError> {
+        validate_classes(ctx.cells.len(), classes, negatives)?;
         let mut format_table = FormatTable::new();
-        let mut rules = Vec::with_capacity(spec.classes.len());
-        let mut class_stats = Vec::with_capacity(spec.classes.len());
-        for (k, class) in spec.classes.iter().enumerate() {
-            let mut rest: Vec<usize> = spec.negatives.clone();
-            for (other, c) in spec.classes.iter().enumerate() {
-                if other != k {
-                    rest.extend_from_slice(&c.positives);
-                }
-            }
-            rest.sort_unstable();
-            rest.dedup();
-            let class_spec = LearnSpec {
-                cells: spec.cells.clone(),
-                positives: class.positives.clone(),
-                negatives: rest,
-            };
-            let (outcome, consistent) = match self.learn_spec(&class_spec) {
+        let mut rules = Vec::with_capacity(classes.len());
+        let mut class_stats = Vec::with_capacity(classes.len());
+        for (k, class) in classes.iter().enumerate() {
+            let rest = one_vs_rest(classes, negatives, k);
+            let (outcome, consistent) = match self.search(ctx, &class.positives, &rest, true) {
                 Ok(outcome) => (outcome, true),
-                Err(LearnError::NoConsistentRule) => (self.learn_spec_relaxed(&class_spec)?, false),
+                Err(LearnError::NoConsistentRule) if !rest.is_empty() => {
+                    learn_metrics().relaxed.inc();
+                    (self.search(ctx, &class.positives, &rest, false)?, false)
+                }
                 Err(e) => return Err(e),
             };
             let best = outcome.best();
@@ -426,7 +452,7 @@ impl<R: Ranker> Cornet<R> {
         learn_metrics().rulesets.inc();
 
         let rule_set = RuleSet { rules };
-        let assignments = rule_set.apply(&spec.cells);
+        let assignments = rule_set.apply(&ctx.cells);
         Ok(RuleSetOutcome {
             rule_set,
             format_table,
@@ -435,65 +461,61 @@ impl<R: Ranker> Cornet<R> {
         })
     }
 
-    fn learn_impl(
+    /// Validates one spec, prepares its column and runs one search.
+    fn learn_once(
         &self,
         cells: &[CellValue],
         positives: &[usize],
         negatives: &[usize],
         enforce: bool,
     ) -> Result<LearnOutcome, LearnError> {
-        if positives.is_empty() {
-            return Err(LearnError::NoExamples);
-        }
-        if let Some(&bad) = positives.iter().find(|&&i| i >= cells.len()) {
-            return Err(LearnError::ExampleOutOfRange(bad));
-        }
-        if let Some(&bad) = negatives.iter().find(|&&i| i >= cells.len()) {
-            return Err(LearnError::NegativeOutOfRange(bad));
-        }
-        if let Some(&bad) = positives.iter().find(|i| negatives.contains(i)) {
-            return Err(LearnError::ConflictingExample(bad));
-        }
+        validate(cells.len(), positives, negatives)?;
+        self.search(&self.prepare(cells), positives, negatives, enforce)
+    }
 
-        let metrics = learn_metrics();
-
-        // 1. Predicate generation (§3.1).
-        let timer = StageTimer::start("learn.predgen", metrics.predgen.clone());
-        let predicates = generate_predicates(cells, &self.config.gen);
-        drop(timer);
-        if predicates.is_empty() {
+    /// Clusters, enumerates and ranks over a prepared column (§3.2–3.4).
+    /// `enforce` selects the constrained search; otherwise the negatives
+    /// reach only the ranker (the relaxed fallback).
+    fn search(
+        &self,
+        ctx: &ColumnContext,
+        positives: &[usize],
+        negatives: &[usize],
+        enforce: bool,
+    ) -> Result<LearnOutcome, LearnError> {
+        if ctx.predicates.is_empty() {
             return Err(LearnError::NoPredicates);
         }
+        let metrics = learn_metrics();
 
-        // 2. Semi-supervised clustering (§3.2). On an enforcing learn the
+        // 1. Semi-supervised clustering (§3.2). On an enforcing learn the
         // hard negatives seed the negative cluster (§5.2.1); the relaxed
         // fallback clusters as if uncorrected, so its candidate pool is
         // exactly the unconstrained learner's and only the *ranking* sees
         // the corrections (via the mask below).
         let timer = StageTimer::start("learn.cluster", metrics.cluster.clone());
-        let signatures = CellSignatures::from_predicates(&predicates);
         let search_negatives: &[usize] = if enforce { negatives } else { &[] };
         let outcome = cluster_constrained(
-            &signatures,
+            &ctx.signatures,
             positives,
             search_negatives,
             &self.config.cluster,
         );
         drop(timer);
-        let negative_mask = cornet_table::BitVec::from_indices(cells.len(), negatives);
+        let negative_mask = cornet_table::BitVec::from_indices(ctx.cells.len(), negatives);
 
-        // 3. Candidate rule enumeration (§3.3). When enforcing, both
+        // 2. Candidate rule enumeration (§3.3). When enforcing, both
         // strategies reject any candidate covering a negative during the
         // search, so every rule here covers the positives and excludes the
         // negatives.
         let candidates = match self.config.strategy {
             SearchStrategy::Greedy => {
                 let _timer = StageTimer::start("learn.enumerate", metrics.enumerate.clone());
-                enumerate_rules(&predicates, &outcome, &self.config.enumeration)
+                enumerate_rules(&ctx.predicates, &outcome, &self.config.enumeration)
             }
             SearchStrategy::Exhaustive => {
                 let _timer = StageTimer::start("learn.fullsearch", metrics.fullsearch.clone());
-                full_search(&predicates, &outcome, &self.config.full_search)
+                full_search(&ctx.predicates, &outcome, &self.config.full_search)
             }
         };
         if candidates.is_empty() {
@@ -503,23 +525,21 @@ impl<R: Ranker> Cornet<R> {
             return Err(LearnError::NoConsistentRule);
         }
 
-        // 4. Ranking (§3.4). All contexts are assembled first and scored in
+        // 3. Ranking (§3.4). All contexts are assembled first and scored in
         // one `score_batch` call so rankers can amortise per-column work
         // (the neural ranker embeds the column once and batches its linear
         // layers across candidates).
         let rank_timer = StageTimer::start("learn.rank", metrics.rank.clone());
-        let cell_texts: Vec<String> = cells.iter().map(CellValue::display_string).collect();
-        let dtype = infer_type(cells);
         let executions: Vec<_> = candidates
             .iter()
             .map(|cand| {
-                let execution = cand.rule.execute(cells);
+                let execution = cand.rule.execute(&ctx.cells);
                 let features = rule_features_constrained(
                     &cand.rule,
                     &execution,
                     &outcome.labels,
                     &negative_mask,
-                    dtype,
+                    ctx.dtype,
                 );
                 (execution, features)
             })
@@ -529,11 +549,11 @@ impl<R: Ranker> Cornet<R> {
             .zip(&executions)
             .map(|(cand, (execution, features))| RankContext {
                 rule: &cand.rule,
-                cell_texts: &cell_texts,
+                cell_texts: &ctx.cell_texts,
                 execution,
                 cluster_labels: &outcome.labels,
                 negatives: &negative_mask,
-                dtype,
+                dtype: ctx.dtype,
                 features: *features,
             })
             .collect();
@@ -563,13 +583,70 @@ impl<R: Ranker> Cornet<R> {
 
         Ok(LearnOutcome {
             stats: LearnStats {
-                n_predicates: predicates.len(),
+                n_predicates: ctx.predicates.len(),
                 n_candidates: scored.len(),
                 cluster_iterations: outcome.iterations,
             },
             candidates: scored,
         })
     }
+}
+
+/// Checks one spec's indices against a column of `n` cells.
+fn validate(n: usize, positives: &[usize], negatives: &[usize]) -> Result<(), LearnError> {
+    if positives.is_empty() {
+        return Err(LearnError::NoExamples);
+    }
+    if let Some(&bad) = positives.iter().find(|&&i| i >= n) {
+        return Err(LearnError::ExampleOutOfRange(bad));
+    }
+    if let Some(&bad) = negatives.iter().find(|&&i| i >= n) {
+        return Err(LearnError::NegativeOutOfRange(bad));
+    }
+    if let Some(&bad) = positives.iter().find(|i| negatives.contains(i)) {
+        return Err(LearnError::ConflictingExample(bad));
+    }
+    Ok(())
+}
+
+/// Checks every class of a rule-set learn as the one-vs-rest spec it runs
+/// as, in class order, before any class is searched.
+fn validate_classes(
+    n: usize,
+    classes: &[ClassSpec],
+    negatives: &[usize],
+) -> Result<(), LearnError> {
+    if classes.iter().all(|c| c.positives.is_empty()) {
+        return Err(LearnError::NoExamples);
+    }
+    // Cross-class overlaps are conflicts: a cell can wear one style.
+    for (k, class) in classes.iter().enumerate() {
+        if let Some(&i) = class
+            .positives
+            .iter()
+            .find(|i| classes[..k].iter().any(|c| c.positives.contains(i)))
+        {
+            return Err(LearnError::ConflictingExample(i));
+        }
+    }
+    for (k, class) in classes.iter().enumerate() {
+        validate(n, &class.positives, &one_vs_rest(classes, negatives, k))?;
+    }
+    Ok(())
+}
+
+/// Class k's hard negatives: the global negatives plus every other class's
+/// positives, sorted and deduplicated.
+fn one_vs_rest(classes: &[ClassSpec], negatives: &[usize], k: usize) -> Vec<usize> {
+    let mut rest = negatives.to_vec();
+    for (other, c) in classes.iter().enumerate() {
+        if other != k {
+            rest.extend_from_slice(&c.positives);
+        }
+    }
+    rest.sort_unstable();
+    rest.dedup();
+    rest
 }
 
 #[cfg(test)]

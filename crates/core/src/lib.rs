@@ -55,8 +55,8 @@ pub mod signature;
 pub mod prelude {
     pub use crate::cluster::{ClusterConfig, ClusterMode};
     pub use crate::learner::{
-        ClassSpec, Cornet, CornetConfig, LearnError, LearnOutcome, LearnSpec, RuleSetOutcome,
-        RuleSetSpec,
+        ClassSpec, ColumnContext, Cornet, CornetConfig, LearnError, LearnOutcome, LearnSpec,
+        RuleSetOutcome, RuleSetSpec,
     };
     pub use crate::metrics::{exact_match, execution_match};
     pub use crate::predicate::{CmpOp, DatePart, Predicate, TextOp};
@@ -65,7 +65,9 @@ pub mod prelude {
     pub use crate::ruleset::{RuleSet, StyledRule};
 }
 
-pub use learner::{ClassSpec, Cornet, CornetConfig, LearnOutcome, LearnSpec, RuleSetSpec};
+pub use learner::{
+    ClassSpec, ColumnContext, Cornet, CornetConfig, LearnOutcome, LearnSpec, RuleSetSpec,
+};
 pub use predicate::Predicate;
 pub use rule::Rule;
 pub use ruleset::{RuleSet, StyledRule};

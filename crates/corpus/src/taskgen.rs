@@ -101,39 +101,21 @@ impl Corpus {
 /// Generates a corpus. Each task is rejection-sampled until the paper's
 /// corpus filters pass: the rule formats at least 5 cells, not the entire
 /// column, and more than a single cell (§5.0.1).
+///
+/// This is [`generate_corpus_sharded`] with one shard per
+/// [`cornet_pool`] worker; the corpus depends only on `config`.
 pub fn generate_corpus(config: &CorpusConfig) -> Corpus {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut tasks = Vec::with_capacity(config.n_tasks);
-    let mut id = 0u64;
-    while tasks.len() < config.n_tasks {
-        let r: f64 = rng.gen();
-        let dtype = if r < config.type_mix[0] {
-            DataType::Text
-        } else if r < config.type_mix[0] + config.type_mix[1] {
-            DataType::Number
-        } else {
-            DataType::Date
-        };
-        if let Some(task) = generate_task(id, dtype, config, &mut rng) {
-            tasks.push(task);
-            id += 1;
-        }
-    }
-    Corpus { tasks }
+    generate_corpus_sharded(config, cornet_pool::current_threads())
 }
 
 /// Generates a corpus sharded across the [`cornet_pool`] worker threads.
 ///
-/// Unlike [`generate_corpus`], which advances one RNG stream through every
-/// task (making the output depend on generation order), each task slot `i`
-/// here derives its own seed from `(config.seed, i)` via SplitMix64 and is
-/// generated independently. The result is **byte-identical for any shard
-/// count and any thread count** — `n_shards` only controls how the slots
-/// are batched onto workers — which is what makes §5-scale corpora (1.7M
-/// tables) feasible to generate in parallel and to reproduce anywhere.
-///
-/// The value stream differs from [`generate_corpus`]'s for the same seed;
-/// treat the two generators as distinct corpora.
+/// Each task slot `i` derives its own seed from `(config.seed, i)` via
+/// SplitMix64 and is generated independently. The result is
+/// **byte-identical for any shard count and any thread count** —
+/// `n_shards` only controls how the slots are batched onto workers —
+/// which is what makes §5-scale corpora (1.7M tables) feasible to
+/// generate in parallel and to reproduce anywhere.
 pub fn generate_corpus_sharded(config: &CorpusConfig, n_shards: usize) -> Corpus {
     let n_shards = n_shards.clamp(1, config.n_tasks.max(1));
     let per_shard = config.n_tasks.div_ceil(n_shards);

@@ -5,16 +5,22 @@
 //! [`CornetService`]; everything here is directly callable (and
 //! benchmarked) without a socket.
 //!
-//! `learn` runs the *constrained* learner ([`Cornet::learn_spec`]):
-//! negative corrections are pushed into clustering and search, so a
-//! response with `consistent:true` carries a rule that provably excludes
-//! every negative, and `consistent:false` is an abstention — the search
-//! proved no rule in the language satisfies the corrections, and the best
-//! unconstrained rule is returned (and persisted) as a fallback.
+//! There is one learn flow: validate, fingerprint, look the fingerprint
+//! up in the store, and on a miss prepare the column once
+//! ([`Cornet::prepare`]) and learn every class over it
+//! ([`Cornet::learn_ruleset_in`]), then store, index and answer. A
+//! single-rule request is the one-class case; its legacy record and wire
+//! fields are derived at the end. Negative corrections are pushed into
+//! clustering and search, so `consistent:true` carries a rule that
+//! provably excludes every negative, and `consistent:false` is an
+//! abstention — no rule in the language satisfies the corrections, and the
+//! best relaxed rule is returned (and persisted) as a fallback.
 //!
 //! Sessions persist through `cornet-serde` under
 //! `<store_dir>/sessions/<id>.json`, so the demo paper's
-//! correct-and-relearn loop survives a server restart.
+//! correct-and-relearn loop survives a server restart. A live session
+//! keeps its prepared column in memory, so a correction re-learns without
+//! preparing it again.
 
 use crate::store::{rule_id_for, rule_set_id_for, ClassFingerprint, RuleStore, StoredRule};
 use crate::suggest::{
@@ -22,16 +28,17 @@ use crate::suggest::{
 };
 use cornet_core::prelude::*;
 use cornet_core::rule::Rule;
-use cornet_obs::Registry;
+use cornet_obs::{Counter, Registry};
 use cornet_serde::{
     decode, encode, field_t, optional_field_t, DecodeError, FromJson, Json, ToJson,
 };
-use cornet_table::{CellValue, Format, TargetScope};
+use cornet_table::{CellValue, Format, TargetScope, FORMAT_PRIMARY};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::io;
+use std::fs::File;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Service configuration.
@@ -388,19 +395,28 @@ struct SessionClass {
     positives: BTreeSet<usize>,
 }
 
+impl SessionClass {
+    /// The class as requests and responses carry it.
+    fn request(&self) -> ClassRequest {
+        ClassRequest {
+            style: self.style.clone(),
+            scope: self.scope,
+            examples: self.positives.iter().copied().collect(),
+        }
+    }
+}
+
+/// An index set as the sorted JSON array sessions persist.
+fn index_set_json(set: &BTreeSet<usize>) -> Json {
+    set.iter().copied().collect::<Vec<usize>>().to_json()
+}
+
 impl ToJson for SessionClass {
     fn to_json(&self) -> Json {
         Json::object([
             ("style", self.style.to_json()),
             ("scope", self.scope.to_json()),
-            (
-                "positives",
-                self.positives
-                    .iter()
-                    .copied()
-                    .collect::<Vec<usize>>()
-                    .to_json(),
-            ),
+            ("positives", index_set_json(&self.positives)),
         ])
     }
 }
@@ -431,6 +447,11 @@ struct Session {
     classes: Vec<SessionClass>,
     revision: u64,
     last: Option<LearnResponse>,
+    /// The column prepared for learning, kept in memory (never persisted)
+    /// so corrections re-learn without preparing the unchanged column
+    /// again. Built by the first re-learn that misses the store, and
+    /// again after a restart.
+    context: Option<Arc<ColumnContext>>,
 }
 
 /// Envelope kind for persisted sessions.
@@ -441,22 +462,8 @@ impl ToJson for Session {
         let mut pairs = vec![
             ("id".to_string(), Json::str(self.id.clone())),
             ("cells".to_string(), self.cells.to_json()),
-            (
-                "positives".to_string(),
-                self.positives
-                    .iter()
-                    .copied()
-                    .collect::<Vec<usize>>()
-                    .to_json(),
-            ),
-            (
-                "negatives".to_string(),
-                self.negatives
-                    .iter()
-                    .copied()
-                    .collect::<Vec<usize>>()
-                    .to_json(),
-            ),
+            ("positives".to_string(), index_set_json(&self.positives)),
+            ("negatives".to_string(), index_set_json(&self.negatives)),
         ];
         if !self.classes.is_empty() {
             pairs.push(("classes".to_string(), self.classes.to_json()));
@@ -485,8 +492,20 @@ impl FromJson for Session {
             classes: optional_field_t(json, "classes")?.unwrap_or_default(),
             revision: field_t(json, "revision")?,
             last: optional_field_t(json, "last")?,
+            context: None,
         })
     }
+}
+
+/// `fsync` calls made persisting sessions, two per persisted state.
+fn session_fsyncs() -> &'static Counter {
+    static FSYNCS: OnceLock<Counter> = OnceLock::new();
+    FSYNCS.get_or_init(|| {
+        cornet_obs::registry().counter(
+            "cornet_session_fsyncs_total",
+            "fsync calls made persisting sessions (temp file data, then the sessions directory).",
+        )
+    })
 }
 
 /// The numeric part of a session id (`s<counter>`); `None` for anything
@@ -590,6 +609,40 @@ impl SessionTable {
             .get(id)
             .cloned()
             .ok_or_else(|| ServeError::NotFound(format!("no session `{id}`")))
+    }
+}
+
+/// What `learn`, `score` and `suggest` apply to a column: one rule, or a
+/// prioritized rule set conflict-resolved through [`RuleSet::apply`].
+#[derive(Clone, Copy)]
+enum Formatter<'a> {
+    Rule(&'a Rule),
+    Set(&'a RuleSet),
+}
+
+impl Formatter<'_> {
+    /// A stored record's rule set when it has one, else its rule.
+    fn of(stored: &StoredRule) -> Formatter<'_> {
+        match &stored.rule_set {
+            Some(set) => Formatter::Set(set),
+            None => Formatter::Rule(&stored.rule),
+        }
+    }
+
+    /// The indices formatted, plus each cell's winning rule for a set.
+    fn apply(self, cells: &[CellValue]) -> (Vec<usize>, Option<Vec<Option<usize>>>) {
+        match self {
+            Formatter::Rule(rule) => (rule.execute(cells).iter_ones().collect(), None),
+            Formatter::Set(set) => {
+                let assignments = set.apply(cells);
+                let matches = assignments
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(i, w)| w.map(|_| i))
+                    .collect();
+                (matches, Some(assignments))
+            }
+        }
     }
 }
 
@@ -723,79 +776,86 @@ impl CornetService {
     /// Learns a rule (or fetches the stored rule for an identical
     /// request). This is the paper's `learn`: examples in, rule out.
     ///
-    /// Negative corrections run through the *constrained* learner
-    /// ([`Cornet::learn_spec`]), so a `consistent:true` response carries a
-    /// rule whose search already excluded every negative — no post-hoc
-    /// candidate filtering. When the constrained search abstains (provably
-    /// no rule in the language satisfies the corrections), the best
-    /// unconstrained rule is returned with `consistent:false`, and the
-    /// abstention is persisted with the rule.
+    /// Negative corrections run through the *constrained* learner, so a
+    /// `consistent:true` response carries a rule whose search already
+    /// excluded every negative — no post-hoc candidate filtering. When the
+    /// constrained search abstains (provably no rule in the language
+    /// satisfies the corrections), the best relaxed rule is returned with
+    /// `consistent:false`, and the abstention is persisted with the rule.
     pub fn learn(&self, req: &LearnRequest) -> Result<LearnResponse, ServeError> {
-        if req.cells.is_empty() {
-            return Err(ServeError::BadRequest("empty column".into()));
-        }
-        if !req.classes.is_empty() {
-            return self.learn_classes(req);
-        }
-        if req.examples.is_empty() {
-            return Err(ServeError::BadRequest("no example indices".into()));
-        }
-        Self::validate_indices(req.cells.len(), &req.examples, "example")?;
-        Self::validate_indices(req.cells.len(), &req.negatives, "negative")?;
-        Self::validate_unique(&req.examples, "example")?;
-        Self::validate_unique(&req.negatives, "negative")?;
-        if let Some(&overlap) = req.examples.iter().find(|i| req.negatives.contains(i)) {
-            return Err(ServeError::BadRequest(format!(
-                "index {overlap} is both an example and a negative"
-            )));
-        }
+        self.learn_in(req, &mut None)
+    }
 
+    /// The one learn flow behind `/learn`, `/batch` and every session
+    /// re-learn: validate, fingerprint, look the fingerprint up, and on a
+    /// miss prepare the column (unless `context` already holds it), learn
+    /// the request's classes through [`Cornet::learn_ruleset_in`], store,
+    /// index and answer. A single-rule request is the one-class case; its
+    /// legacy record and wire shape (no `rule_set`, examples as given,
+    /// format `f1`) are derived here at the edge.
+    fn learn_in(
+        &self,
+        req: &LearnRequest,
+        context: &mut Option<Arc<ColumnContext>>,
+    ) -> Result<LearnResponse, ServeError> {
+        let classes = Self::validate_learn(req)?;
         let tenant = Self::validate_tenant(req.tenant.as_deref())?;
-        let id = rule_id_for(tenant, &req.cells, &req.examples, &req.negatives);
+        let single = req.classes.is_empty();
+        let id = if single {
+            rule_id_for(tenant, &req.cells, &req.examples, &req.negatives)
+        } else {
+            let fingerprints: Vec<ClassFingerprint<'_>> = req
+                .classes
+                .iter()
+                .map(|c| ClassFingerprint {
+                    style: &c.style,
+                    scope: c.scope,
+                    examples: &c.examples,
+                })
+                .collect();
+            rule_set_id_for(tenant, &req.cells, &fingerprints, &req.negatives)
+        };
         let cells: Vec<CellValue> = req.cells.iter().map(|s| CellValue::parse(s)).collect();
         if let Some(stored) = self.store.lock().unwrap().get(&id) {
             return Ok(Self::response_from_stored(&stored, &cells, true));
         }
 
         let cornet = Cornet::with_default_ranker();
-        let spec = LearnSpec::new(cells.clone(), req.examples.clone())
-            .with_negatives(req.negatives.clone());
+        let ctx = context.get_or_insert_with(|| Arc::new(cornet.prepare(&cells)));
         self.learns.fetch_add(1, Ordering::Relaxed);
-        let (scored, consistent) = match cornet.learn_spec(&spec) {
-            Ok(outcome) => {
-                let best = outcome.candidates.into_iter().next().expect("non-empty");
-                (best, true)
-            }
-            Err(LearnError::NoConsistentRule) if !req.negatives.is_empty() => {
-                // Abstention: no rule in the language satisfies the
-                // corrections. Serve the relaxed learner's best rule so the
-                // user still sees *something* — the negatives keep seeding
-                // the clustering and penalising ranking, so the rule
-                // covering the fewest corrections wins — flagged
-                // inconsistent.
-                let outcome = cornet
-                    .learn_spec_relaxed(&spec)
-                    .map_err(|e| ServeError::Unlearnable(e.to_string()))?;
-                self.learns.fetch_add(1, Ordering::Relaxed);
-                let best = outcome.candidates.into_iter().next().expect("non-empty");
-                (best, false)
-            }
-            Err(e) => return Err(ServeError::Unlearnable(e.to_string())),
-        };
-
+        let set = cornet
+            .learn_ruleset_in(ctx, &classes, &req.negatives)
+            .map_err(|e| ServeError::Unlearnable(e.to_string()))?
+            .rule_set;
         let embedding = embed_column(&req.cells);
-        let stored = StoredRule {
+        let mut stored = StoredRule {
             id: id.clone(),
-            rule: scored.rule.clone(),
-            score: scored.score,
+            rule: set.rules[0].rule.clone(),
+            score: set.rules[0].score,
             examples: req.examples.clone(),
             negatives: req.negatives.clone(),
             column_len: req.cells.len(),
-            consistent,
+            consistent: set.consistent(),
             rule_set: None,
             tenant: req.tenant.clone(),
             embedding: Some(embedding.clone()),
         };
+        if single {
+            // The single-format shape of §2: format f1, no set, and the
+            // examples as given. An abstaining rule was re-learned by the
+            // relaxed search, a second learner run.
+            stored.rule.format = FORMAT_PRIMARY;
+            if !stored.consistent {
+                self.learns.fetch_add(1, Ordering::Relaxed);
+            }
+        } else {
+            let examples: BTreeSet<usize> = classes
+                .iter()
+                .flat_map(|c| c.positives.iter().copied())
+                .collect();
+            stored.examples = examples.into_iter().collect();
+            stored.rule_set = Some(set);
+        }
         self.store
             .lock()
             .unwrap()
@@ -805,30 +865,50 @@ impl CornetService {
         Ok(Self::response_from_stored(&stored, &cells, false))
     }
 
-    /// Multi-class learn: one styled, prioritized rule per class through
-    /// [`Cornet::learn_ruleset`], cached in the store under a fingerprint
-    /// that covers every class's style, scope and example set
-    /// ([`rule_set_id`]). The legacy response fields describe the
-    /// priority-0 rule; `rule_set`/`assignments` carry the whole set.
-    fn learn_classes(&self, req: &LearnRequest) -> Result<LearnResponse, ServeError> {
-        if !req.examples.is_empty() {
+    /// Checks a learn request and returns its format classes: the
+    /// request's `classes`, or the single-rule request's `examples` as one
+    /// unstyled class.
+    fn validate_learn(req: &LearnRequest) -> Result<Vec<ClassSpec>, ServeError> {
+        let n = req.cells.len();
+        if n == 0 {
+            return Err(ServeError::BadRequest("empty column".into()));
+        }
+        let single = req.classes.is_empty();
+        if !single && !req.examples.is_empty() {
             return Err(ServeError::BadRequest(
                 "provide either `examples` or `classes`, not both".into(),
             ));
         }
-        Self::validate_indices(req.cells.len(), &req.negatives, "negative")?;
+        let classes: Vec<ClassSpec> = if single {
+            vec![ClassSpec::new(
+                Format::default_format(),
+                req.examples.clone(),
+            )]
+        } else {
+            req.classes
+                .iter()
+                .map(|c| ClassSpec::new(c.style.clone(), c.examples.clone()).with_scope(c.scope))
+                .collect()
+        };
+        if let Some(k) = classes.iter().position(|c| c.positives.is_empty()) {
+            return Err(ServeError::BadRequest(if single {
+                "no example indices".into()
+            } else {
+                format!("class {k} has no example indices")
+            }));
+        }
+        for class in &classes {
+            Self::validate_indices(n, &class.positives, "example")?;
+        }
+        Self::validate_indices(n, &req.negatives, "negative")?;
+        for class in &classes {
+            Self::validate_unique(&class.positives, "example")?;
+        }
         Self::validate_unique(&req.negatives, "negative")?;
         let mut owner: BTreeMap<usize, usize> = BTreeMap::new();
-        for (k, class) in req.classes.iter().enumerate() {
-            if class.examples.is_empty() {
-                return Err(ServeError::BadRequest(format!(
-                    "class {k} has no example indices"
-                )));
-            }
-            Self::validate_indices(req.cells.len(), &class.examples, "example")?;
-            Self::validate_unique(&class.examples, "example")?;
-            for &i in &class.examples {
-                if let Some(&other) = owner.get(&i) {
+        for (k, class) in classes.iter().enumerate() {
+            for &i in &class.positives {
+                if let Some(other) = owner.insert(i, k) {
                     return Err(ServeError::BadRequest(format!(
                         "index {i} appears in classes {other} and {k}"
                     )));
@@ -838,60 +918,9 @@ impl CornetService {
                         "index {i} is both an example and a negative"
                     )));
                 }
-                owner.insert(i, k);
             }
         }
-
-        let fingerprints: Vec<ClassFingerprint<'_>> = req
-            .classes
-            .iter()
-            .map(|c| ClassFingerprint {
-                style: &c.style,
-                scope: c.scope,
-                examples: &c.examples,
-            })
-            .collect();
-        let tenant = Self::validate_tenant(req.tenant.as_deref())?;
-        let id = rule_set_id_for(tenant, &req.cells, &fingerprints, &req.negatives);
-        let cells: Vec<CellValue> = req.cells.iter().map(|s| CellValue::parse(s)).collect();
-        if let Some(stored) = self.store.lock().unwrap().get(&id) {
-            return Ok(Self::response_from_stored(&stored, &cells, true));
-        }
-
-        let cornet = Cornet::with_default_ranker();
-        let classes: Vec<ClassSpec> = req
-            .classes
-            .iter()
-            .map(|c| ClassSpec::new(c.style.clone(), c.examples.clone()).with_scope(c.scope))
-            .collect();
-        let spec = RuleSetSpec::new(cells.clone(), classes).with_negatives(req.negatives.clone());
-        self.learns.fetch_add(1, Ordering::Relaxed);
-        let outcome = cornet
-            .learn_ruleset(&spec)
-            .map_err(|e| ServeError::Unlearnable(e.to_string()))?;
-
-        let set = outcome.rule_set;
-        let lead = set.rules.first().expect("one rule per class");
-        let embedding = embed_column(&req.cells);
-        let stored = StoredRule {
-            id: id.clone(),
-            rule: lead.rule.clone(),
-            score: lead.score,
-            examples: owner.keys().copied().collect(),
-            negatives: req.negatives.clone(),
-            column_len: req.cells.len(),
-            consistent: set.consistent(),
-            rule_set: Some(set),
-            tenant: req.tenant.clone(),
-            embedding: Some(embedding.clone()),
-        };
-        self.store
-            .lock()
-            .unwrap()
-            .put(stored.clone())
-            .map_err(|e| ServeError::Internal(format!("rule store write failed: {e}")))?;
-        self.suggest.lock().unwrap().insert(tenant, &id, &embedding);
-        Ok(Self::response_from_stored(&stored, &cells, false))
+        Ok(classes)
     }
 
     fn response_from_stored(
@@ -899,18 +928,7 @@ impl CornetService {
         cells: &[CellValue],
         cached: bool,
     ) -> LearnResponse {
-        let (matches, rule_set, assignments) = match &stored.rule_set {
-            Some(set) => {
-                let assignments = set.apply(cells);
-                let matches = assignments
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, w)| w.map(|_| i))
-                    .collect();
-                (matches, Some(set.clone()), Some(assignments))
-            }
-            None => (stored.rule.execute(cells).iter_ones().collect(), None, None),
-        };
+        let (matches, assignments) = Formatter::of(stored).apply(cells);
         LearnResponse {
             rule_id: stored.id.clone(),
             rule: stored.rule.clone(),
@@ -920,7 +938,7 @@ impl CornetService {
             matches,
             cached,
             consistent: stored.consistent,
-            rule_set,
+            rule_set: stored.rule_set.clone(),
             assignments,
         }
     }
@@ -930,42 +948,22 @@ impl CornetService {
     /// through [`RuleSet::apply`], and the response carries the per-cell
     /// winning-rule assignments alongside the resolved match union.
     pub fn score(&self, req: &ScoreRequest) -> Result<ScoreResponse, ServeError> {
-        let provided =
-            req.rule_id.is_some() as u8 + req.rule.is_some() as u8 + req.rule_set.is_some() as u8;
-        if provided != 1 {
-            return Err(ServeError::BadRequest(
-                "provide exactly one of `rule_id`, `rule` and `rule_set`".into(),
-            ));
-        }
-        let (rule, set, rule_id) = if let Some(rule) = &req.rule {
-            (Some(rule.clone()), None, None)
-        } else if let Some(set) = &req.rule_set {
-            (None, Some(set.clone()), None)
-        } else {
-            let id = req.rule_id.as_ref().expect("checked above");
-            let stored =
-                self.store.lock().unwrap().get(id).ok_or_else(|| {
-                    ServeError::NotFound(format!("no stored rule with id `{id}`"))
-                })?;
-            match stored.rule_set {
-                Some(set) => (None, Some(set), Some(id.clone())),
-                None => (Some(stored.rule), None, Some(id.clone())),
+        let stored;
+        let (rule_id, formatter) = match (&req.rule_id, &req.rule, &req.rule_set) {
+            (Some(id), None, None) => {
+                stored = self.rule(id)?;
+                (Some(id.clone()), Formatter::of(&stored))
+            }
+            (None, Some(rule), None) => (None, Formatter::Rule(rule)),
+            (None, None, Some(set)) => (None, Formatter::Set(set)),
+            _ => {
+                return Err(ServeError::BadRequest(
+                    "provide exactly one of `rule_id`, `rule` and `rule_set`".into(),
+                ))
             }
         };
         let cells: Vec<CellValue> = req.cells.iter().map(|s| CellValue::parse(s)).collect();
-        let (matches, assignments) = match (&rule, &set) {
-            (Some(rule), _) => (rule.execute(&cells).iter_ones().collect(), None),
-            (None, Some(set)) => {
-                let assignments = set.apply(&cells);
-                let matches = assignments
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, w)| w.map(|_| i))
-                    .collect();
-                (matches, Some(assignments))
-            }
-            (None, None) => unreachable!("exactly one source checked above"),
-        };
+        let (matches, assignments) = formatter.apply(&cells);
         Ok(ScoreResponse {
             rule_id,
             matches,
@@ -1038,15 +1036,7 @@ impl CornetService {
         let mut suggestions: Vec<Suggestion> = candidates
             .into_iter()
             .filter_map(|(stored, dist)| {
-                let matches: Vec<usize> = match &stored.rule_set {
-                    Some(set) => set
-                        .apply(&cells)
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, w)| w.map(|_| i))
-                        .collect(),
-                    None => stored.rule.execute(&cells).iter_ones().collect(),
-                };
+                let (matches, _) = Formatter::of(&stored).apply(&cells);
                 if matches.is_empty() {
                     return None;
                 }
@@ -1122,6 +1112,7 @@ impl CornetService {
                 .collect(),
             revision: 0,
             last: None,
+            context: None,
         };
         self.relearn(&mut session)?;
         self.persist_session(&session)?;
@@ -1232,7 +1223,10 @@ impl CornetService {
     }
 
     /// Writes a session's state to `<sessions_dir>/<id>.json` via a temp
-    /// file + rename, mirroring the rule store's crash safety.
+    /// file + rename. The temp file's data is synced before the rename and
+    /// the directory after it, so an acknowledged correction survives
+    /// power loss like a stored rule does. Both syncs count on
+    /// `cornet_session_fsyncs_total`.
     fn persist_session(&self, session: &Session) -> Result<(), ServeError> {
         let text = encode(SESSION_KIND, session);
         static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
@@ -1243,9 +1237,18 @@ impl CornetService {
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         let target = self.sessions_dir.join(format!("{}.json", session.id));
-        std::fs::write(&tmp, &text)
-            .and_then(|()| std::fs::rename(&tmp, &target))
-            .map_err(|e| ServeError::Internal(format!("session write failed: {e}")))
+        let fsyncs = session_fsyncs();
+        let write = || -> io::Result<()> {
+            let mut file = File::create(&tmp)?;
+            file.write_all(text.as_bytes())?;
+            file.sync_data()?;
+            fsyncs.inc();
+            std::fs::rename(&tmp, &target)?;
+            File::open(&self.sessions_dir)?.sync_all()?;
+            fsyncs.inc();
+            Ok(())
+        };
+        write().map_err(|e| ServeError::Internal(format!("session write failed: {e}")))
     }
 
     /// Best-effort removal of an evicted session's file.
@@ -1254,47 +1257,31 @@ impl CornetService {
     }
 
     fn relearn(&self, session: &mut Session) -> Result<(), ServeError> {
-        let req = if session.classes.is_empty() {
-            if session.positives.is_empty() {
-                session.last = None;
-                return Ok(());
-            }
-            // Sessions are untenanted: their learns land in the global
-            // namespace (per-tenant sessions are a follow-up).
-            LearnRequest {
-                cells: session.cells.clone(),
-                examples: session.positives.iter().copied().collect(),
-                negatives: session.negatives.iter().copied().collect(),
-                classes: Vec::new(),
-                tenant: None,
-            }
-        } else {
-            // A class emptied by corrections drops out of the request —
-            // there is nothing left to learn it from; priorities follow
-            // the surviving class order.
-            let classes: Vec<ClassRequest> = session
-                .classes
-                .iter()
-                .filter(|c| !c.positives.is_empty())
-                .map(|c| ClassRequest {
-                    style: c.style.clone(),
-                    scope: c.scope,
-                    examples: c.positives.iter().copied().collect(),
-                })
-                .collect();
-            if classes.is_empty() {
-                session.last = None;
-                return Ok(());
-            }
-            LearnRequest {
-                cells: session.cells.clone(),
-                examples: Vec::new(),
-                negatives: session.negatives.iter().copied().collect(),
-                classes,
-                tenant: None,
-            }
+        // A single-rule session learns from `positives`, a multi-class one
+        // from its classes (its `positives` stay empty). A class emptied
+        // by corrections drops out of the request — there is nothing left
+        // to learn it from; priorities follow the surviving class order.
+        let examples: Vec<usize> = session.positives.iter().copied().collect();
+        let classes: Vec<ClassRequest> = session
+            .classes
+            .iter()
+            .filter(|c| !c.positives.is_empty())
+            .map(SessionClass::request)
+            .collect();
+        if examples.is_empty() && classes.is_empty() {
+            session.last = None;
+            return Ok(());
+        }
+        // Sessions are untenanted: their learns land in the global
+        // namespace (per-tenant sessions are a follow-up).
+        let req = LearnRequest {
+            cells: session.cells.clone(),
+            examples,
+            negatives: session.negatives.iter().copied().collect(),
+            classes,
+            tenant: None,
         };
-        session.last = Some(self.learn(&req)?);
+        session.last = Some(self.learn_in(&req, &mut session.context)?);
         Ok(())
     }
 
@@ -1316,15 +1303,7 @@ impl CornetService {
             n_cells: session.cells.len(),
             positives,
             negatives: session.negatives.iter().copied().collect(),
-            classes: session
-                .classes
-                .iter()
-                .map(|c| ClassRequest {
-                    style: c.style.clone(),
-                    scope: c.scope,
-                    examples: c.positives.iter().copied().collect(),
-                })
-                .collect(),
+            classes: session.classes.iter().map(SessionClass::request).collect(),
             result: session.last.clone(),
         }
     }
