@@ -788,11 +788,12 @@ impl CornetService {
 
     /// The one learn flow behind `/learn`, `/batch` and every session
     /// re-learn: validate, fingerprint, look the fingerprint up, and on a
-    /// miss prepare the column (unless `context` already holds it), learn
-    /// the request's classes through [`Cornet::learn_ruleset_in`], store,
-    /// index and answer. A single-rule request is the one-class case; its
-    /// legacy record and wire shape (no `rule_set`, examples as given,
-    /// format `f1`) are derived here at the edge.
+    /// miss prepare the column (unless `context` already holds it, which
+    /// must then come from `req.cells`), learn the request's classes
+    /// through [`Cornet::learn_ruleset_in`], store, index and answer. A
+    /// single-rule request is the one-class case; its legacy record and
+    /// wire shape (no `rule_set`, examples as given, format `f1`) are
+    /// derived here at the edge.
     fn learn_in(
         &self,
         req: &LearnRequest,
