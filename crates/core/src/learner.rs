@@ -390,7 +390,6 @@ impl<R: Ranker> Cornet<R> {
     /// column is prepared once ([`Cornet::prepare`]) and shared by every
     /// class's search; see [`Cornet::learn_ruleset_in`].
     pub fn learn_ruleset(&self, spec: &RuleSetSpec) -> Result<RuleSetOutcome, LearnError> {
-        validate_classes(spec.cells.len(), &spec.classes, &spec.negatives)?;
         self.learn_ruleset_in(&self.prepare(&spec.cells), &spec.classes, &spec.negatives)
     }
 

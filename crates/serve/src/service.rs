@@ -18,9 +18,9 @@
 //!
 //! Sessions persist through `cornet-serde` under
 //! `<store_dir>/sessions/<id>.json`, so the demo paper's
-//! correct-and-relearn loop survives a server restart. A live session
-//! keeps its prepared column in memory, so a correction re-learns without
-//! preparing it again.
+//! correct-and-relearn loop survives a server restart. The most recently
+//! re-learned sessions keep their prepared columns in memory, so a
+//! correction re-learns without preparing its column again.
 
 use crate::store::{rule_id_for, rule_set_id_for, ClassFingerprint, RuleStore, StoredRule};
 use crate::suggest::{
@@ -447,11 +447,6 @@ struct Session {
     classes: Vec<SessionClass>,
     revision: u64,
     last: Option<LearnResponse>,
-    /// The column prepared for learning, kept in memory (never persisted)
-    /// so corrections re-learn without preparing the unchanged column
-    /// again. Built by the first re-learn that misses the store, and
-    /// again after a restart.
-    context: Option<Arc<ColumnContext>>,
 }
 
 /// Envelope kind for persisted sessions.
@@ -492,7 +487,6 @@ impl FromJson for Session {
             classes: optional_field_t(json, "classes")?.unwrap_or_default(),
             revision: field_t(json, "revision")?,
             last: optional_field_t(json, "last")?,
-            context: None,
         })
     }
 }
@@ -635,16 +629,26 @@ impl Formatter<'_> {
             Formatter::Rule(rule) => (rule.execute(cells).iter_ones().collect(), None),
             Formatter::Set(set) => {
                 let assignments = set.apply(cells);
-                let matches = assignments
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, w)| w.map(|_| i))
-                    .collect();
-                (matches, Some(assignments))
+                (claimed(&assignments), Some(assignments))
             }
         }
     }
 }
+
+/// The cells some rule claims, given each cell's winning rule.
+fn claimed(assignments: &[Option<usize>]) -> Vec<usize> {
+    assignments
+        .iter()
+        .enumerate()
+        .filter_map(|(i, w)| w.map(|_| i))
+        .collect()
+}
+
+/// How many of the most recently re-learned sessions keep their prepared
+/// column ([`ColumnContext`], up to ~0.5 MB for a 400-cell numeric column)
+/// in memory, whatever `max_sessions` is. Older sessions prepare their
+/// column again on their next correction.
+const SESSION_CONTEXTS: usize = 16;
 
 /// The service: a learner in front of the persistent rule store, plus
 /// interactive sessions persisted under `<store_dir>/sessions/`.
@@ -658,6 +662,10 @@ pub struct CornetService {
     sessions: Mutex<SessionTable>,
     sessions_dir: PathBuf,
     max_sessions: usize,
+    /// Prepared columns of the [`SESSION_CONTEXTS`] most recently
+    /// re-learned sessions, oldest first, keyed by session id. Never
+    /// persisted; locked only to take or return one entry.
+    contexts: Mutex<VecDeque<(String, ColumnContext)>>,
     next_session: AtomicU64,
     learns: AtomicU64,
     started: Instant,
@@ -717,6 +725,7 @@ impl CornetService {
             sessions: Mutex::new(table),
             sessions_dir,
             max_sessions: config.max_sessions,
+            contexts: Mutex::new(VecDeque::new()),
             next_session: AtomicU64::new(next),
             learns: AtomicU64::new(0),
             started: Instant::now(),
@@ -797,7 +806,7 @@ impl CornetService {
     fn learn_in(
         &self,
         req: &LearnRequest,
-        context: &mut Option<Arc<ColumnContext>>,
+        context: &mut Option<ColumnContext>,
     ) -> Result<LearnResponse, ServeError> {
         let classes = Self::validate_learn(req)?;
         let tenant = Self::validate_tenant(req.tenant.as_deref())?;
@@ -816,18 +825,20 @@ impl CornetService {
                 .collect();
             rule_set_id_for(tenant, &req.cells, &fingerprints, &req.negatives)
         };
-        let cells: Vec<CellValue> = req.cells.iter().map(|s| CellValue::parse(s)).collect();
+        let cells =
+            || -> Vec<CellValue> { req.cells.iter().map(|s| CellValue::parse(s)).collect() };
         if let Some(stored) = self.store.lock().unwrap().get(&id) {
-            return Ok(Self::response_from_stored(&stored, &cells, true));
+            let applied = Formatter::of(&stored).apply(&cells());
+            return Ok(Self::response(&stored, applied, true));
         }
 
         let cornet = Cornet::with_default_ranker();
-        let ctx = context.get_or_insert_with(|| Arc::new(cornet.prepare(&cells)));
+        let ctx = context.get_or_insert_with(|| cornet.prepare(&cells()));
         self.learns.fetch_add(1, Ordering::Relaxed);
-        let set = cornet
+        let outcome = cornet
             .learn_ruleset_in(ctx, &classes, &req.negatives)
-            .map_err(|e| ServeError::Unlearnable(e.to_string()))?
-            .rule_set;
+            .map_err(|e| ServeError::Unlearnable(e.to_string()))?;
+        let set = outcome.rule_set;
         let embedding = embed_column(&req.cells);
         let mut stored = StoredRule {
             id: id.clone(),
@@ -842,9 +853,10 @@ impl CornetService {
             embedding: Some(embedding.clone()),
         };
         if single {
-            // The single-format shape of §2: format f1, no set, and the
-            // examples as given. An abstaining rule was re-learned by the
-            // relaxed search, a second learner run.
+            // The single-format shape of §2: format f1 (the one unstyled
+            // class interned as `FORMAT_NONE`), no set, and the examples
+            // as given. An abstaining rule was re-learned by the relaxed
+            // search, a second learner run.
             stored.rule.format = FORMAT_PRIMARY;
             if !stored.consistent {
                 self.learns.fetch_add(1, Ordering::Relaxed);
@@ -863,7 +875,11 @@ impl CornetService {
             .put(stored.clone())
             .map_err(|e| ServeError::Internal(format!("rule store write failed: {e}")))?;
         self.suggest.lock().unwrap().insert(tenant, &id, &embedding);
-        Ok(Self::response_from_stored(&stored, &cells, false))
+        // The learn already resolved the column: its assignments are the
+        // response's, so the new rule is not applied a second time.
+        let matches = claimed(&outcome.assignments);
+        let assignments = stored.rule_set.is_some().then_some(outcome.assignments);
+        Ok(Self::response(&stored, (matches, assignments), false))
     }
 
     /// Checks a learn request and returns its format classes: the
@@ -924,12 +940,12 @@ impl CornetService {
         Ok(classes)
     }
 
-    fn response_from_stored(
+    /// A learn response for a stored record and what it formats.
+    fn response(
         stored: &StoredRule,
-        cells: &[CellValue],
+        (matches, assignments): (Vec<usize>, Option<Vec<Option<usize>>>),
         cached: bool,
     ) -> LearnResponse {
-        let (matches, assignments) = Formatter::of(stored).apply(cells);
         LearnResponse {
             rule_id: stored.id.clone(),
             rule: stored.rule.clone(),
@@ -1113,7 +1129,6 @@ impl CornetService {
                 .collect(),
             revision: 0,
             last: None,
-            context: None,
         };
         self.relearn(&mut session)?;
         self.persist_session(&session)?;
@@ -1282,7 +1297,20 @@ impl CornetService {
             classes,
             tenant: None,
         };
-        session.last = Some(self.learn_in(&req, &mut session.context)?);
+        let mut context = {
+            let mut contexts = self.contexts.lock().unwrap();
+            let held = contexts.iter().position(|(id, _)| *id == session.id);
+            held.and_then(|at| contexts.remove(at)).map(|(_, ctx)| ctx)
+        };
+        let learned = self.learn_in(&req, &mut context);
+        if let Some(ctx) = context {
+            let mut contexts = self.contexts.lock().unwrap();
+            contexts.push_back((session.id.clone(), ctx));
+            if contexts.len() > SESSION_CONTEXTS {
+                contexts.pop_front();
+            }
+        }
+        session.last = Some(learned?);
         Ok(())
     }
 
@@ -1789,6 +1817,35 @@ mod tests {
         );
         assert!(service.session_get(&ids[1]).is_ok());
         assert!(service.session_get(&ids[2]).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn only_the_most_recently_relearned_sessions_keep_their_column() {
+        let (service, dir) = temp_service("contexts");
+        // Distinct columns, so every create misses the store and prepares.
+        let ids: Vec<String> = (0..SESSION_CONTEXTS + 2)
+            .map(|n| {
+                let mut cells = rw_column();
+                cells.push(format!("ZZ-{n}"));
+                service
+                    .session_create(cells, vec![0], vec![])
+                    .unwrap()
+                    .session_id
+            })
+            .collect();
+        let held = || -> Vec<String> {
+            let contexts = service.contexts.lock().unwrap();
+            contexts.iter().map(|(id, _)| id.clone()).collect()
+        };
+        assert_eq!(held(), ids[2..]);
+        // Correcting a session whose column was dropped prepares it again
+        // and makes it the newest holder.
+        service.session_correct(&ids[0], &[2], &[], None).unwrap();
+        let now = held();
+        assert_eq!(now.len(), SESSION_CONTEXTS);
+        assert_eq!(now.last(), Some(&ids[0]));
+        assert!(!now.contains(&ids[2]));
         std::fs::remove_dir_all(&dir).ok();
     }
 
