@@ -1,8 +1,8 @@
 //! Each learn prepares its column once: predicate generation and the
 //! signature build (the `learn.predgen` span) run once per learn request
 //! that misses the store, however many classes and relaxed fallbacks it
-//! searches, and never again for a correction to a live session, whose
-//! column does not change.
+//! searches, and never again for a correction to a recently re-learned
+//! session, whose column does not change.
 //!
 //! The trace sink is process-global; the tests in this binary serialize
 //! on [`SINK_LOCK`] so one test's sink never observes another's spans.
