@@ -253,59 +253,6 @@ pub fn cluster_constrained(
     }
 }
 
-/// The result of partitioning a column into k format classes.
-#[derive(Debug, Clone)]
-pub struct MultiClusterOutcome {
-    /// Winning class per cell after deterministic conflict resolution:
-    /// among classes whose one-vs-rest labels claim the cell, the lowest
-    /// class index wins; `None` when no class claims it.
-    pub assignments: Vec<Option<usize>>,
-    /// The one-vs-rest [`ClusterOutcome`] per class, in class order.
-    pub classes: Vec<ClusterOutcome>,
-}
-
-/// Partitions a column into `classes.len()` format classes plus an
-/// unformatted remainder — the k>2 generalisation of
-/// [`cluster_constrained`]'s binary formatted/unformatted split.
-///
-/// Each class runs the binary constrained clustering *one-vs-rest*: its
-/// own examples seed the positive cluster, and the union of every other
-/// class's examples with the global hard negatives seeds the negative
-/// cluster. The per-class sweeps are therefore exactly
-/// [`cluster_constrained`] sweeps — with a single class and no negatives
-/// this is bit-identical to [`cluster`] — and overlapping claims are
-/// resolved deterministically (lowest class index wins), mirroring
-/// [`crate::ruleset::RuleSet::apply`]'s priority order.
-pub fn cluster_multi(
-    signatures: &CellSignatures,
-    classes: &[Vec<usize>],
-    negatives: &[usize],
-    config: &ClusterConfig,
-) -> MultiClusterOutcome {
-    let outcomes: Vec<ClusterOutcome> = classes
-        .iter()
-        .enumerate()
-        .map(|(c, positives)| {
-            let mut rest: Vec<usize> = negatives.to_vec();
-            for (other, examples) in classes.iter().enumerate() {
-                if other != c {
-                    rest.extend_from_slice(examples);
-                }
-            }
-            rest.sort_unstable();
-            rest.dedup();
-            cluster_constrained(signatures, positives, &rest, config)
-        })
-        .collect();
-    let assignments = (0..signatures.n_cells())
-        .map(|i| outcomes.iter().position(|o| o.labels.get(i)))
-        .collect();
-    MultiClusterOutcome {
-        assignments,
-        classes: outcomes,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,73 +434,6 @@ mod tests {
                 "{mode:?}: hard negative labeled positive"
             );
             assert!(outcome.labels.get(0));
-        }
-    }
-
-    #[test]
-    fn multi_class_partition_is_disjoint_and_deterministic() {
-        // A 3-class status column: each class's examples pull the other
-        // occurrences of its word, and no cell lands in two classes.
-        let raw = [
-            "completed",
-            "pending",
-            "failed",
-            "completed",
-            "pending",
-            "failed",
-            "completed",
-        ];
-        let sigs = signatures_for(&raw);
-        let classes = vec![vec![0], vec![1], vec![2]];
-        let outcome = cluster_multi(&sigs, &classes, &[], &ClusterConfig::default());
-        assert_eq!(outcome.classes.len(), 3);
-        let expected: Vec<Option<usize>> = raw
-            .iter()
-            .map(|s| match *s {
-                "completed" => Some(0),
-                "pending" => Some(1),
-                _ => Some(2),
-            })
-            .collect();
-        assert_eq!(outcome.assignments, expected);
-        // One-vs-rest: class 0's negative seeds include the other classes.
-        assert!(outcome.classes[0].hard_negatives.get(1));
-        assert!(outcome.classes[0].hard_negatives.get(2));
-    }
-
-    #[test]
-    fn single_class_multi_is_bit_identical_to_binary() {
-        let sigs = signatures_for(&["RW-187", "RS-762", "RW-159", "RW-131-T", "TW-224", "RW-312"]);
-        let config = ClusterConfig::default();
-        let binary = cluster(&sigs, &[0, 2, 5], &config);
-        let multi = cluster_multi(&sigs, &[vec![0, 2, 5]], &[], &config);
-        assert_eq!(multi.classes[0].labels, binary.labels);
-        assert_eq!(multi.classes[0].soft_negatives, binary.soft_negatives);
-        assert_eq!(multi.classes[0].iterations, binary.iterations);
-        for (i, assigned) in multi.assignments.iter().enumerate() {
-            assert_eq!(assigned.is_some(), binary.labels.get(i));
-        }
-    }
-
-    #[test]
-    fn assignments_pick_the_lowest_claiming_class() {
-        // The documented resolution rule, checked against the per-class
-        // labels: every assignment is the first class whose one-vs-rest
-        // labels claim the cell.
-        let sigs = signatures_for(&["RW-1", "XX-2", "RW-3", "XX-4", "ZZ-5", "RW-6"]);
-        let classes = vec![vec![0], vec![1], vec![4]];
-        let outcome = cluster_multi(&sigs, &classes, &[], &ClusterConfig::default());
-        for i in 0..6 {
-            let first = (0..classes.len()).find(|&c| outcome.classes[c].labels.get(i));
-            assert_eq!(outcome.assignments[i], first, "cell {i}");
-        }
-        // Each class's own examples always resolve to that class: every
-        // other class holds them as hard negatives, so no lower class can
-        // claim them first.
-        for (c, examples) in classes.iter().enumerate() {
-            for &i in examples {
-                assert_eq!(outcome.assignments[i], Some(c));
-            }
         }
     }
 

@@ -16,29 +16,31 @@
 //! abstention — no rule in the language satisfies the corrections, and the
 //! best relaxed rule is returned (and persisted) as a fallback.
 //!
-//! Sessions persist through `cornet-serde` under
-//! `<store_dir>/sessions/<id>.json`, so the demo paper's
-//! correct-and-relearn loop survives a server restart. The most recently
+//! Every acknowledged session state is appended to the store's rule log
+//! as a `session-state` record (`RuleStore::put_session`), so the demo
+//! paper's correct-and-relearn loop survives a server restart. Sessions
+//! are numbered `s<n>` in creation order; the table keeps the
+//! `max_sessions` highest-numbered ones, at runtime and after a restart
+//! alike, so an evicted session needs no tombstone. The most recently
 //! re-learned sessions keep their prepared columns in memory, so a
 //! correction re-learns without preparing its column again.
 
-use crate::store::{rule_id_for, rule_set_id_for, ClassFingerprint, RuleStore, StoredRule};
+use crate::store::{
+    rule_id_for, rule_set_id_for, session_number, ClassFingerprint, RuleStore, StoredRule,
+};
 use crate::suggest::{
     embed_column, suggest_metrics, SuggestIndex, SuggestRequest, SuggestResponse, Suggestion,
 };
 use cornet_core::prelude::*;
 use cornet_core::rule::Rule;
-use cornet_obs::{Counter, Registry};
-use cornet_serde::{
-    decode, encode, field_t, optional_field_t, DecodeError, FromJson, Json, ToJson,
-};
+use cornet_obs::Registry;
+use cornet_serde::{field_t, optional_field_t, DecodeError, FromJson, Json, ToJson};
 use cornet_table::{CellValue, Format, TargetScope, FORMAT_PRIMARY};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::fs::File;
-use std::io::{self, Write};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Service configuration.
@@ -48,9 +50,10 @@ pub struct ServiceConfig {
     pub store_dir: PathBuf,
     /// In-memory LRU capacity of the rule store.
     pub cache_capacity: usize,
-    /// Cap on live sessions; the oldest session is evicted beyond it
-    /// (sessions are per-process and ephemeral — learned rules persist
-    /// in the store regardless).
+    /// Cap on live sessions; beyond it the lowest-numbered (oldest)
+    /// session is evicted, and a restart restores the `max_sessions`
+    /// highest-numbered sessions from the log, so both keep the same set.
+    /// Learned rules persist in the store regardless.
     pub max_sessions: usize,
 }
 
@@ -433,11 +436,11 @@ impl FromJson for SessionClass {
 }
 
 /// An interactive correct-and-relearn session (the demo paper's loop).
-/// Persisted through `cornet-serde` (kind [`SESSION_KIND`]) so the loop
-/// survives a server restart. A session is either single-rule (`classes`
-/// empty, `positives` in use) or multi-class (`classes` non-empty,
-/// `positives` always empty); the `classes` key is omitted from the wire
-/// when empty so pre-rule-set session files keep decoding.
+/// Persisted as a rule-log record (kind [`crate::store::SESSION_KIND`])
+/// so the loop survives a server restart. A session is either single-rule
+/// (`classes` empty, `positives` in use) or multi-class (`classes`
+/// non-empty, `positives` always empty); the `classes` key is omitted
+/// from the wire when empty.
 #[derive(Debug, Clone)]
 struct Session {
     id: String,
@@ -448,9 +451,6 @@ struct Session {
     revision: u64,
     last: Option<LearnResponse>,
 }
-
-/// Envelope kind for persisted sessions.
-pub const SESSION_KIND: &str = "session-state";
 
 impl ToJson for Session {
     fn to_json(&self) -> Json {
@@ -491,28 +491,10 @@ impl FromJson for Session {
     }
 }
 
-/// `fsync` calls made persisting sessions, two per persisted state.
-fn session_fsyncs() -> &'static Counter {
-    static FSYNCS: OnceLock<Counter> = OnceLock::new();
-    FSYNCS.get_or_init(|| {
-        cornet_obs::registry().counter(
-            "cornet_session_fsyncs_total",
-            "fsync calls made persisting sessions (temp file data, then the sessions directory).",
-        )
-    })
-}
-
-/// The numeric part of a session id (`s<counter>`); `None` for anything
-/// else (a foreign file in the sessions directory must not poison the
-/// counter).
-fn session_number(id: &str) -> Option<u64> {
-    id.strip_prefix('s').and_then(|n| n.parse().ok())
-}
-
 /// A session snapshot returned by the session endpoints.
 #[derive(Debug, Clone)]
 pub struct SessionResponse {
-    /// Session identifier (`s<counter>`; sessions are per-process).
+    /// Session identifier (`s<n>`, numbered in creation order).
     pub session_id: String,
     /// Bumped on every correction.
     pub revision: u64,
@@ -567,40 +549,28 @@ impl FromJson for SessionResponse {
     }
 }
 
-/// Per-process session table: the map plus insertion order for the
-/// oldest-first eviction that bounds memory.
+/// The live sessions, keyed by number. Beyond the cap the lowest number
+/// is evicted, which is also the session a restart would not restore.
 #[derive(Debug, Default)]
 struct SessionTable {
     /// Sessions are individually locked so a slow re-learn on one
     /// session never blocks operations on the others; the table mutex is
     /// only ever held for map lookups and insertions.
-    map: HashMap<String, Arc<Mutex<Session>>>,
-    order: VecDeque<String>,
+    map: BTreeMap<u64, Arc<Mutex<Session>>>,
 }
 
 impl SessionTable {
-    /// Inserts a session, returning the ids evicted to stay within `cap`
-    /// (the caller owns their persisted files).
-    fn insert(&mut self, id: String, session: Session, cap: usize) -> Vec<String> {
-        if !self.map.contains_key(&id) {
-            self.order.push_back(id.clone());
-        }
-        self.map.insert(id, Arc::new(Mutex::new(session)));
-        let mut evicted = Vec::new();
+    /// Inserts session `n`, evicting the lowest numbers beyond `cap`.
+    fn insert(&mut self, n: u64, session: Session, cap: usize) {
+        self.map.insert(n, Arc::new(Mutex::new(session)));
         while self.map.len() > cap.max(1) {
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
-                evicted.push(old);
-            } else {
-                break;
-            }
+            self.map.pop_first();
         }
-        evicted
     }
 
     fn get(&self, id: &str) -> Result<Arc<Mutex<Session>>, ServeError> {
-        self.map
-            .get(id)
+        session_number(id)
+            .and_then(|n| self.map.get(&n))
             .cloned()
             .ok_or_else(|| ServeError::NotFound(format!("no session `{id}`")))
     }
@@ -651,7 +621,7 @@ fn claimed(assignments: &[Option<usize>]) -> Vec<usize> {
 const SESSION_CONTEXTS: usize = 16;
 
 /// The service: a learner in front of the persistent rule store, plus
-/// interactive sessions persisted under `<store_dir>/sessions/`.
+/// interactive sessions persisted in the same log.
 pub struct CornetService {
     store: Mutex<RuleStore>,
     /// The tenant-namespaced embedding index behind `/suggest`, rebuilt
@@ -660,7 +630,6 @@ pub struct CornetService {
     /// both locks at once.
     suggest: Mutex<SuggestIndex>,
     sessions: Mutex<SessionTable>,
-    sessions_dir: PathBuf,
     max_sessions: usize,
     /// Prepared columns of the [`SESSION_CONTEXTS`] most recently
     /// re-learned sessions, oldest first, keyed by session id. Never
@@ -672,11 +641,11 @@ pub struct CornetService {
 }
 
 impl CornetService {
-    /// Opens the rule store, reloads any persisted sessions, and builds
-    /// the service. A corrupt session file is skipped (the session is
-    /// lost, the server is not).
+    /// Opens the rule store, reloads the `max_sessions` highest-numbered
+    /// persisted sessions, and builds the service. A session whose latest
+    /// record is corrupt is skipped (the session is lost, the server is
+    /// not).
     pub fn new(config: &ServiceConfig) -> io::Result<CornetService> {
-        let sessions_dir = config.store_dir.join("sessions");
         let store = RuleStore::open(&config.store_dir, config.cache_capacity)?;
         // Rebuild the suggestion index from the persisted records alone:
         // every rule learned since embeddings existed carries its vector,
@@ -689,41 +658,24 @@ impl CornetService {
                 suggest.insert(rule.tenant.as_deref(), &rule.id, embedding);
             }
         });
-        std::fs::create_dir_all(&sessions_dir)?;
-        let mut restored: Vec<Session> = std::fs::read_dir(&sessions_dir)?
-            .filter_map(Result::ok)
-            .filter(|e| e.path().extension().is_some_and(|x| x == "json"))
-            .filter_map(|e| {
-                let text = std::fs::read_to_string(e.path()).ok()?;
-                let session: Session = decode(SESSION_KIND, &text).ok()?;
-                // The file stem must match the payload (a renamed file
-                // must not alias another session).
-                (e.path().file_stem().and_then(|s| s.to_str()) == Some(session.id.as_str())
-                    && session_number(&session.id).is_some())
-                .then_some(session)
-            })
-            .collect();
-        // Creation order = numeric id order; the eviction queue and the
-        // next-session counter both depend on it.
-        restored.sort_by_key(|s| session_number(&s.id).unwrap_or(0));
-        let next = restored
-            .iter()
-            .filter_map(|s| session_number(&s.id))
-            .max()
-            .map_or(1, |m| m + 1);
+        let mut latest = store.latest_sessions::<Session>().peekable();
+        // Numbers are never reused, not even a corrupt record's.
+        let next = latest.peek().map_or(1, |&(n, _)| n + 1);
         let mut table = SessionTable::default();
-        let mut stale = Vec::new();
-        for session in restored {
-            stale.extend(table.insert(session.id.clone(), session, config.max_sessions));
-        }
-        for id in stale {
-            let _ = std::fs::remove_file(sessions_dir.join(format!("{id}.json")));
+        for (n, session) in latest
+            .filter_map(|(n, state)| {
+                state
+                    .filter(|s| session_number(&s.id) == Some(n))
+                    .map(|s| (n, s))
+            })
+            .take(config.max_sessions.max(1))
+        {
+            table.insert(n, session, config.max_sessions);
         }
         Ok(CornetService {
             store: Mutex::new(store),
             suggest: Mutex::new(suggest),
             sessions: Mutex::new(table),
-            sessions_dir,
             max_sessions: config.max_sessions,
             contexts: Mutex::new(VecDeque::new()),
             next_session: AtomicU64::new(next),
@@ -1113,9 +1065,9 @@ impl CornetService {
         for class in &classes {
             Self::validate_indices(cells.len(), &class.examples, "example")?;
         }
-        let id = format!("s{}", self.next_session.fetch_add(1, Ordering::Relaxed));
+        let n = self.next_session.fetch_add(1, Ordering::Relaxed);
         let mut session = Session {
-            id: id.clone(),
+            id: format!("s{n}"),
             cells,
             positives: examples.into_iter().collect(),
             negatives: BTreeSet::new(),
@@ -1133,14 +1085,10 @@ impl CornetService {
         self.relearn(&mut session)?;
         self.persist_session(&session)?;
         let response = Self::session_snapshot(&session);
-        let evicted = self
-            .sessions
+        self.sessions
             .lock()
             .unwrap()
-            .insert(id, session, self.max_sessions);
-        for old in evicted {
-            self.remove_session_file(&old);
-        }
+            .insert(n, session, self.max_sessions);
         Ok(response)
     }
 
@@ -1155,20 +1103,15 @@ impl CornetService {
     /// must cover (moves them out of the negatives), `unformat` marks
     /// cells it must not (moves them out of the positives).
     ///
-    /// The *per-session* lock is held across the re-learn so concurrent
-    /// corrections to the same session serialize instead of losing one
-    /// writer's updates, while other sessions stay responsive; a failed
+    /// The *per-session* lock is held across the re-learn and the persist,
+    /// so concurrent corrections to the same session serialize instead of
+    /// losing one writer's updates, and its records reach the log in
+    /// revision order, while other sessions stay responsive; a failed
     /// re-learn (or a failed persist) leaves the session unchanged. Lock
-    /// order everywhere is table → session → store, with one audited
-    /// exception below: the persist step re-acquires the table lock
-    /// *while holding the session lock*. That inversion cannot deadlock
-    /// because no path waits on a session lock while holding the table
-    /// lock (`SessionTable::get` clones the `Arc` inside a temporary
-    /// table guard and locks the session only after it drops), and it is
-    /// what closes the eviction race: eviction deletes session files
-    /// under the table lock, so checking membership and writing the file
-    /// under that same lock guarantees a concurrently evicted session is
-    /// never resurrected on disk.
+    /// order everywhere is table → session → store, and the table lock is
+    /// released before the session lock is taken. A session evicted
+    /// during its correction still appends its record: it has the lowest
+    /// number, so a restart does not restore it either.
     pub fn session_correct(
         &self,
         id: &str,
@@ -1225,51 +1168,21 @@ impl CornetService {
         }
         updated.revision += 1;
         self.relearn(&mut updated)?;
-        {
-            let table = self.sessions.lock().unwrap();
-            if table.map.contains_key(id) {
-                self.persist_session(&updated)?;
-            }
-            // An evicted session keeps serving this in-flight correction
-            // from memory, but owns no file any more.
-        }
+        self.persist_session(&updated)?;
         let response = Self::session_snapshot(&updated);
         *guard = updated;
         Ok(response)
     }
 
-    /// Writes a session's state to `<sessions_dir>/<id>.json` via a temp
-    /// file + rename. The temp file's data is synced before the rename and
-    /// the directory after it, so an acknowledged correction survives
-    /// power loss like a stored rule does. Both syncs count on
-    /// `cornet_session_fsyncs_total`.
+    /// Appends a session's state to the rule log; like a rule, it is
+    /// acknowledged only once synced (one `fdatasync`, counted on
+    /// `cornet_store_fsyncs_total`).
     fn persist_session(&self, session: &Session) -> Result<(), ServeError> {
-        let text = encode(SESSION_KIND, session);
-        static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-        let tmp = self.sessions_dir.join(format!(
-            "{}.{}.{}.tmp",
-            session.id,
-            std::process::id(),
-            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        let target = self.sessions_dir.join(format!("{}.json", session.id));
-        let fsyncs = session_fsyncs();
-        let write = || -> io::Result<()> {
-            let mut file = File::create(&tmp)?;
-            file.write_all(text.as_bytes())?;
-            file.sync_data()?;
-            fsyncs.inc();
-            std::fs::rename(&tmp, &target)?;
-            File::open(&self.sessions_dir)?.sync_all()?;
-            fsyncs.inc();
-            Ok(())
-        };
-        write().map_err(|e| ServeError::Internal(format!("session write failed: {e}")))
-    }
-
-    /// Best-effort removal of an evicted session's file.
-    fn remove_session_file(&self, id: &str) {
-        let _ = std::fs::remove_file(self.sessions_dir.join(format!("{id}.json")));
+        self.store
+            .lock()
+            .unwrap()
+            .put_session(&session.id, session)
+            .map_err(|e| ServeError::Internal(format!("session write failed: {e}")))
     }
 
     fn relearn(&self, session: &mut Session) -> Result<(), ServeError> {
@@ -1341,9 +1254,8 @@ impl CornetService {
     ///
     /// The on-disk rule count is the size of the store's in-memory index
     /// ([`RuleStore::persisted`]), so a health probe never touches disk.
-    /// The store mutex is released before the session table is locked
-    /// (never nested inside the store lock — `session_correct` acquires
-    /// them in the opposite order, which would deadlock).
+    /// The store mutex is released before the session table is locked:
+    /// no path holds both.
     pub fn health(&self) -> Json {
         let (hits, misses, cached, persisted) = {
             let store = self.store.lock().unwrap();
@@ -1704,19 +1616,29 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The names of the files in a store directory, sorted.
+    fn store_files(dir: &std::path::Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
-    fn evicted_sessions_lose_their_files() {
+    fn evicted_sessions_stay_evicted_after_a_restart() {
         let dir = std::env::temp_dir().join(format!(
-            "cornet-service-test-evict-files-{}",
+            "cornet-service-test-evict-restart-{}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let service = CornetService::new(&ServiceConfig {
+        let config = ServiceConfig {
             store_dir: dir.clone(),
             cache_capacity: 16,
             max_sessions: 2,
-        })
-        .unwrap();
+        };
+        let service = CornetService::new(&config).unwrap();
         let ids: Vec<String> = (0..3)
             .map(|_| {
                 service
@@ -1725,31 +1647,39 @@ mod tests {
                     .session_id
             })
             .collect();
-        let session_file = |id: &str| dir.join("sessions").join(format!("{id}.json"));
-        assert!(!session_file(&ids[0]).exists(), "evicted file removed");
-        assert!(session_file(&ids[1]).exists());
-        assert!(session_file(&ids[2]).exists());
-        // The eviction cap also applies to a restart.
+        service.session_correct(&ids[1], &[5], &[3], None).unwrap();
+        assert!(service.session_get(&ids[0]).is_err(), "evicted at runtime");
         drop(service);
-        let restarted = CornetService::new(&ServiceConfig {
-            store_dir: dir.clone(),
-            cache_capacity: 16,
-            max_sessions: 2,
-        })
-        .unwrap();
-        assert!(restarted.session_get(&ids[1]).is_ok());
+        // The log is the only file, and a restart with the same cap keeps
+        // the same sessions: the evicted one stays gone.
+        assert_eq!(store_files(&dir), [crate::store::LOG_FILE]);
+        let restarted = CornetService::new(&config).unwrap();
+        assert!(matches!(
+            restarted.session_get(&ids[0]),
+            Err(ServeError::NotFound(_))
+        ));
+        assert_eq!(restarted.session_get(&ids[1]).unwrap().revision, 1);
         assert!(restarted.session_get(&ids[2]).is_ok());
+        let fresh = restarted
+            .session_create(rw_column(), vec![0], vec![])
+            .unwrap();
+        assert_eq!(fresh.session_id, "s4", "numbers are never reused");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn corrupt_session_files_are_skipped_on_restart() {
+    fn corrupt_session_records_are_skipped_on_restart() {
         let (service, dir) = temp_service("session-corrupt");
         let ok = service
             .session_create(rw_column(), vec![0], vec![])
             .unwrap();
         drop(service);
-        std::fs::write(dir.join("sessions").join("s999.json"), "{not json").unwrap();
+        let mut log = std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.join(crate::store::LOG_FILE))
+            .unwrap();
+        std::io::Write::write_all(&mut log, b"s999\t{not json}\n").unwrap();
+        drop(log);
         let restarted = CornetService::new(&ServiceConfig {
             store_dir: dir.clone(),
             cache_capacity: 16,
@@ -1761,12 +1691,12 @@ mod tests {
             restarted.session_get("s999"),
             Err(ServeError::NotFound(_))
         ));
-        // The counter skips past the corrupt file's name is irrelevant —
-        // fresh ids never collide with the restored session.
+        // Fresh ids never collide with the restored session, nor reuse
+        // the corrupt record's number.
         let fresh = restarted
             .session_create(rw_column(), vec![0], vec![])
             .unwrap();
-        assert_ne!(fresh.session_id, ok.session_id);
+        assert_eq!(fresh.session_id, "s1000");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1790,6 +1720,30 @@ mod tests {
         assert!(second.cached);
         assert!(!second.consistent, "cache hit reported consistent=true");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn session_table_evicts_the_lowest_number() {
+        let session = |n: u64| Session {
+            id: format!("s{n}"),
+            cells: rw_column(),
+            positives: BTreeSet::new(),
+            negatives: BTreeSet::new(),
+            classes: Vec::new(),
+            revision: 0,
+            last: None,
+        };
+        let mut table = SessionTable::default();
+        for n in [10, 2, 7] {
+            table.insert(n, session(n), 2);
+        }
+        assert!(table.get("s2").is_err(), "the lowest number is evicted");
+        assert!(table.get("s7").is_ok());
+        assert!(table.get("s10").is_ok());
+        // Inserting a number below every live one evicts that session.
+        table.insert(1, session(1), 2);
+        assert!(table.get("s1").is_err());
+        assert_eq!(table.map.keys().copied().collect::<Vec<_>>(), [7, 10]);
     }
 
     #[test]
@@ -2148,7 +2102,7 @@ mod tests {
         assert!(err.message().contains("single-rule"), "{err}");
 
         // The per-class state (styles, scopes, example sets) survives a
-        // restart through the persisted session file.
+        // restart through the persisted session record.
         let sid = created.session_id.clone();
         drop(service);
         let restarted = CornetService::new(&ServiceConfig {
@@ -2250,13 +2204,8 @@ mod tests {
         };
         let learned = service.learn(&req).unwrap();
         drop(service);
-        // The rule log is the store's only rule file.
-        let mut names: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        names.sort();
-        assert_eq!(names, [crate::store::LOG_FILE, "sessions"]);
+        // The rule log is the store's only file.
+        assert_eq!(store_files(&dir), [crate::store::LOG_FILE]);
 
         let restarted = CornetService::new(&ServiceConfig {
             store_dir: dir.clone(),

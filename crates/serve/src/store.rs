@@ -1,35 +1,42 @@
-//! The persistent rule store: one append-only log of learned rules,
-//! fronted by an in-memory LRU cache.
+//! The persistent store: one append-only log of learned rules and
+//! session states, fronted by an in-memory LRU cache of rules.
 //!
 //! Layout: a single file, `<dir>/rules.log`. Each record is one line,
-//! `<rule-id>\t<envelope>\n`, where the envelope is the versioned
-//! `{"v":1,"kind":"stored-rule","payload":…}` document (the codec escapes
-//! control characters, so it never holds a raw tab or newline). Rule ids
-//! are content fingerprints of the learn request (cells + examples +
-//! negatives), so identical requests map to the same record across
-//! processes and restarts — that is what lets a restarted server answer
-//! `learn` and `score` without re-learning.
+//! `<id>\t<envelope>\n`, where the envelope is a versioned
+//! `{"v":1,"kind":…,"payload":…}` document (the codec escapes control
+//! characters, so it never holds a raw tab or newline). Two kinds share
+//! the log:
+//! - `stored-rule` records, headed by a rule id. Rule ids are content
+//!   fingerprints of the learn request (cells + examples + negatives), so
+//!   identical requests map to the same record across processes and
+//!   restarts — that is what lets a restarted server answer `learn` and
+//!   `score` without re-learning.
+//! - `session-state` records, headed by a canonical session id
+//!   `s<n>`. Every acknowledged state of a session appends a record; the
+//!   latest one is the session's state, and superseded ones are never
+//!   compacted.
 //!
 //! [`RuleStore::open`] streams the log once, reading only each line's id
-//! header, into an in-memory `id → (offset, len)` map; a later record for
-//! an id wins (ids are content addresses, so duplicates are identical).
-//! A cache miss reads its one record with a positioned read; a corrupt
-//! record reads as a miss, and an id the map lacks is answered as absent
-//! without touching disk. [`RuleStore::put`] appends the record with one
-//! write and returns only after `fdatasync`, so an acknowledged rule
-//! survives power loss. There is no compaction: the only dead bytes are
-//! duplicate records and torn fragments.
+//! header, into an in-memory `id → (offset, len)` map of rules and a
+//! `number → (offset, len)` map of sessions; a later record for an id
+//! wins. A cache miss reads its one record with a positioned read; a
+//! corrupt record reads as a miss, and an id the map lacks is answered as
+//! absent without touching disk. [`RuleStore::put`] and
+//! `RuleStore::put_session` append the record with one write and return
+//! only after `fdatasync`, so an acknowledged rule or session state
+//! survives power loss. There is no compaction: the dead bytes are
+//! duplicate rule records, superseded session states and torn fragments.
 //!
 //! A crash mid-append can leave a last line without its `\n`: a torn
 //! tail. Scans skip it, and `open` leaves it in place (other handles may
-//! be reading the same directory). The next `put` first writes `\0\n`,
+//! be reading the same directory). The next append first writes `\0\n`,
 //! closing the fragment off as a line no scan accepts — a record line
 //! always ends in its envelope's `}`.
 //!
-//! Stores written in the older per-rule-file and segment layouts are not
-//! read. The LRU bounds only memory. Single-writer contract: a record
-//! appended by another process after open is invisible until this store
-//! reopens.
+//! Stores written in the older per-rule-file and segment layouts, and
+//! sessions written as `sessions/<id>.json` files, are not read. The LRU
+//! bounds only memory. Single-writer contract: a record appended by
+//! another process after open is invisible until this store reopens.
 
 use cornet_core::rule::Rule;
 use cornet_core::ruleset::RuleSet;
@@ -38,7 +45,7 @@ use cornet_serde::{
     decode, encode, field_t, optional_field_t, to_string, DecodeError, FromJson, Json, ToJson,
 };
 use cornet_table::{Format, TargetScope};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Seek, SeekFrom, Write};
 use std::os::unix::fs::FileExt;
@@ -80,7 +87,7 @@ fn store_metrics() -> &'static StoreMetrics {
             ),
             fsyncs: registry.counter(
                 "cornet_store_fsyncs_total",
-                "fsync calls made by the rule store (one per put, one per created log).",
+                "fsync calls made by the rule store (one per rule or session record, one per created log).",
             ),
         }
     })
@@ -88,6 +95,9 @@ fn store_metrics() -> &'static StoreMetrics {
 
 /// Envelope kind for rule-store records.
 pub const STORED_RULE_KIND: &str = "stored-rule";
+
+/// Envelope kind for session-state records.
+pub const SESSION_KIND: &str = "session-state";
 
 /// A learned rule at rest: the rule plus the request that produced it.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,6 +189,14 @@ pub fn valid_rule_id(id: &str) -> bool {
         && id.len() > 1
         && id.len() <= 64
         && chars.all(|c| c.is_ascii_hexdigit() && !c.is_ascii_uppercase())
+}
+
+/// The number of a canonical session id `s<n>`: `None` for anything
+/// else, including spellings `u64::from_str` would also accept (`s+7`,
+/// `s007`), so two ids never share a number.
+pub(crate) fn session_number(id: &str) -> Option<u64> {
+    let n: u64 = id.strip_prefix('s')?.parse().ok()?;
+    (format!("s{n}") == id).then_some(n)
 }
 
 /// Fingerprints a learn request into a rule id: SHA-256 over the cell
@@ -324,8 +342,8 @@ pub fn rule_set_id_for(
 /// File name of the rule log under the store directory.
 pub const LOG_FILE: &str = "rules.log";
 
-/// Log-backed rule store with an LRU-bounded in-memory cache (see the
-/// module docs).
+/// Log-backed rule and session store with an LRU-bounded in-memory rule
+/// cache (see the module docs).
 #[derive(Debug)]
 pub struct RuleStore {
     /// The log, opened for reading and appending.
@@ -342,6 +360,8 @@ pub struct RuleStore {
     /// count, and it is the miss fast-path: a `get` for an id it lacks
     /// makes no filesystem call.
     index: HashMap<Box<str>, (u64, usize)>,
+    /// `session number → (offset, len)` of its latest record.
+    sessions: BTreeMap<u64, (u64, usize)>,
     hits: u64,
     misses: u64,
 }
@@ -367,9 +387,15 @@ impl RuleStore {
             store_metrics().fsyncs.inc();
         }
         let mut index = HashMap::new();
+        let mut sessions = BTreeMap::new();
         let torn = scan_lines(&log, |offset, line| {
-            if let Some(id) = record_id(line) {
+            let Some(id) = record_header(line) else {
+                return;
+            };
+            if valid_rule_id(id) {
                 index.insert(id.into(), (offset, line.len()));
+            } else if let Some(n) = session_number(id) {
+                sessions.insert(n, (offset, line.len()));
             }
         })?;
         Ok(RuleStore {
@@ -379,6 +405,7 @@ impl RuleStore {
             cache: HashMap::new(),
             order: VecDeque::new(),
             index,
+            sessions,
             hits: 0,
             misses: 0,
         })
@@ -446,13 +473,38 @@ impl RuleStore {
                 format!("invalid rule id `{}`", entry.id),
             ));
         }
-        let envelope = encode(STORED_RULE_KIND, &entry);
-        let mut bytes = Vec::with_capacity(entry.id.len() + envelope.len() + 4);
+        let at = self.append(&entry.id, &encode(STORED_RULE_KIND, &entry))?;
+        let id = entry.id.clone();
+        self.index.insert(id.as_str().into(), at);
+        self.cache.insert(id.clone(), entry);
+        self.touch(&id);
+        Ok(())
+    }
+
+    /// Persists the state of session `id` (a canonical `s<n>`) as its
+    /// latest record, synced like a rule. Earlier states stay in the log.
+    pub(crate) fn put_session(&mut self, id: &str, state: &impl ToJson) -> io::Result<()> {
+        let Some(n) = session_number(id) else {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("invalid session id `{id}`"),
+            ));
+        };
+        let at = self.append(id, &encode(SESSION_KIND, state))?;
+        self.sessions.insert(n, at);
+        Ok(())
+    }
+
+    /// Appends the record line `<id>\t<envelope>` in one write, closing
+    /// off a torn tail first, and syncs it. Returns the record's
+    /// `(offset, len)`, without its `\n`.
+    fn append(&mut self, id: &str, envelope: &str) -> io::Result<(u64, usize)> {
+        let mut bytes = Vec::with_capacity(id.len() + envelope.len() + 4);
         if self.torn {
             bytes.extend_from_slice(b"\0\n");
         }
         let start = bytes.len();
-        bytes.extend_from_slice(entry.id.as_bytes());
+        bytes.extend_from_slice(id.as_bytes());
         bytes.push(b'\t');
         bytes.extend_from_slice(envelope.as_bytes());
         let len = bytes.len() - start;
@@ -465,12 +517,7 @@ impl RuleStore {
         self.torn = false;
         // An append leaves the file position at the end of this record.
         let end = self.log.stream_position()?;
-        let id = entry.id.clone();
-        self.index
-            .insert(id.as_str().into(), (end - 1 - len as u64, len));
-        self.cache.insert(id.clone(), entry);
-        self.touch(&id);
-        Ok(())
+        Ok((end - 1 - len as u64, len))
     }
 
     /// Number of distinct rules persisted in the log.
@@ -484,14 +531,37 @@ impl RuleStore {
     /// it never touches the LRU cache.
     pub fn for_each_stored(&self, mut found: impl FnMut(StoredRule)) {
         let _ = scan_lines(&self.log, |offset, line| {
-            let Some(id) = record_id(line) else { return };
+            let Some(id) = record_header(line) else {
+                return;
+            };
             if self.index.get(id) != Some(&(offset, line.len())) {
-                return; // superseded, or appended by another writer since open
+                return; // a session, superseded, or appended by another writer since open
             }
             if let Some(entry) = decode_record(id, line) {
                 found(entry);
             }
         });
+    }
+
+    /// The latest record of every session in the log, highest number
+    /// first, decoded as `T`; `None` where that record does not decode
+    /// (the session is lost — an older state is never used instead).
+    /// Reads lazily, one positioned read per item taken.
+    pub(crate) fn latest_sessions<T: FromJson>(
+        &self,
+    ) -> impl Iterator<Item = (u64, Option<T>)> + '_ {
+        self.sessions.iter().rev().map(|(&n, &(offset, len))| {
+            let mut line = vec![0u8; len];
+            let state = self
+                .log
+                .read_exact_at(&mut line, offset)
+                .ok()
+                .and_then(|()| {
+                    let envelope = line.strip_prefix(format!("s{n}\t").as_bytes())?;
+                    decode(SESSION_KIND, std::str::from_utf8(envelope).ok()?).ok()
+                });
+            (n, state)
+        })
     }
 }
 
@@ -518,16 +588,15 @@ fn scan_lines(mut file: &File, mut line: impl FnMut(u64, &[u8])) -> io::Result<b
     }
 }
 
-/// The rule id heading a log line, when the line is shaped like a
-/// record: a valid id, a tab, and an envelope ending in `}`. Parses no
-/// JSON, so the open-time scan stays a byte scan.
-fn record_id(line: &[u8]) -> Option<&str> {
+/// The id heading a log line, when the line is shaped like a record: an
+/// id of at most 64 bytes, a tab, and an envelope ending in `}`. Parses
+/// no JSON, so the open-time scan stays a byte scan.
+fn record_header(line: &[u8]) -> Option<&str> {
     if line.last() != Some(&b'}') {
         return None;
     }
     let tab = line.iter().take(65).position(|&b| b == b'\t')?;
-    let id = std::str::from_utf8(&line[..tab]).ok()?;
-    valid_rule_id(id).then_some(id)
+    std::str::from_utf8(&line[..tab]).ok()
 }
 
 /// Decodes the record line of rule `id`. `None` when the line is corrupt
@@ -924,44 +993,142 @@ mod tests {
         ids
     }
 
-    #[test]
-    fn every_torn_tail_recovers_exactly_the_acknowledged_prefix() {
-        let dir = temp_dir("crash");
-        let ids: Vec<String> = (0..3)
-            .map(|i| rule_id(&[format!("crash{i}")], &[0], &[]))
+    /// One acknowledged append: a rule record (by index), or the state of
+    /// a session (number, revision).
+    #[derive(Clone, Copy)]
+    enum Put {
+        Rule(usize),
+        Session(u64, u64),
+    }
+
+    fn session_state(n: u64, revision: u64) -> Json {
+        Json::object([
+            ("id", Json::str(format!("s{n}"))),
+            ("revision", revision.to_json()),
+        ])
+    }
+
+    /// The latest revision of every session a freshly opened store holds;
+    /// `None` where that record does not decode.
+    fn recovered_sessions(dir: &std::path::Path) -> BTreeMap<u64, Option<u64>> {
+        let store = RuleStore::open(dir, 8).unwrap();
+        let latest: Vec<(u64, Option<u64>)> = store
+            .latest_sessions::<Json>()
+            .map(|(n, state)| (n, state.and_then(|s| s.get("revision")?.as_u64())))
             .collect();
-        {
-            let mut store = RuleStore::open(&dir, 8).unwrap();
-            for id in &ids {
-                store.put(entry(id, "C")).unwrap();
+        assert!(latest.windows(2).all(|w| w[0].0 > w[1].0), "highest first");
+        latest.into_iter().collect()
+    }
+
+    /// The rules, in log order, and each session's latest revision that
+    /// a log of `puts` holds.
+    fn acknowledged(puts: &[Put], rules: &[String]) -> (Vec<String>, BTreeMap<u64, Option<u64>>) {
+        let mut ids = Vec::new();
+        let mut sessions = BTreeMap::new();
+        for put in puts {
+            match *put {
+                Put::Rule(i) => ids.push(rules[i].clone()),
+                Put::Session(n, revision) => {
+                    sessions.insert(n, Some(revision));
+                }
             }
         }
-        let log = dir.join(LOG_FILE);
-        let full = std::fs::read(&log).unwrap();
-        let last_start = full[..full.len() - 1]
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .unwrap()
-            + 1;
-        // Every cut inside the last record loses exactly that record; a
-        // cut after its `\n` and a zero-filled tail lose nothing.
-        let mut crashes: Vec<(Vec<u8>, usize)> = (last_start..=full.len())
-            .map(|cut| (full[..cut].to_vec(), if cut == full.len() { 3 } else { 2 }))
+        (ids, sessions)
+    }
+
+    #[test]
+    fn every_torn_tail_recovers_exactly_the_acknowledged_prefix() {
+        use Put::{Rule as R, Session as S};
+        let rules: Vec<String> = (0..3)
+            .map(|i| rule_id(&[format!("crash{i}")], &[0], &[]))
             .collect();
-        crashes.push(([&full[..], &[0u8; 64]].concat(), 3));
         let later = rule_id(&["after-the-crash".into()], &[0], &[]);
-        for (bytes, kept) in crashes {
-            std::fs::write(&log, &bytes).unwrap();
-            assert_eq!(recovered_ids(&dir), ids[..kept], "cut at {}", bytes.len());
-            // The next put closes off the torn fragment, which then never
-            // comes back, however it was cut.
-            let mut store = RuleStore::open(&dir, 8).unwrap();
-            store.put(entry(&later, "L")).unwrap();
-            drop(store);
-            let mut want = ids[..kept].to_vec();
-            want.push(later.clone());
-            assert_eq!(recovered_ids(&dir), want, "cut at {}", bytes.len());
+        // Rules only, then rules and session states interleaved, the last
+        // record a rule in one log and a session state in the other.
+        let logs: [&[Put]; 3] = [
+            &[R(0), R(1), R(2)],
+            &[R(0), S(1, 0), S(2, 0), R(1), S(1, 1), R(2)],
+            &[S(1, 0), R(0), S(2, 0), R(1), S(1, 1), S(2, 1)],
+        ];
+        for (k, puts) in logs.into_iter().enumerate() {
+            let dir = temp_dir(&format!("crash{k}"));
+            {
+                let mut store = RuleStore::open(&dir, 8).unwrap();
+                for put in puts {
+                    match *put {
+                        R(i) => store.put(entry(&rules[i], "C")).unwrap(),
+                        S(n, r) => store
+                            .put_session(&format!("s{n}"), &session_state(n, r))
+                            .unwrap(),
+                    }
+                }
+            }
+            let log = dir.join(LOG_FILE);
+            let full = std::fs::read(&log).unwrap();
+            let last_start = full[..full.len() - 1]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .unwrap()
+                + 1;
+            // Every cut inside the last record loses exactly that record; a
+            // cut after its `\n` and a zero-filled tail lose nothing.
+            let all = puts.len();
+            let mut crashes: Vec<(Vec<u8>, usize)> = (last_start..=full.len())
+                .map(|cut| {
+                    (
+                        full[..cut].to_vec(),
+                        if cut == full.len() { all } else { all - 1 },
+                    )
+                })
+                .collect();
+            crashes.push(([&full[..], &[0u8; 64]].concat(), all));
+            for (bytes, kept) in crashes {
+                let at = format!("log {k}, cut at {}", bytes.len());
+                std::fs::write(&log, &bytes).unwrap();
+                let (mut ids, sessions) = acknowledged(&puts[..kept], &rules);
+                assert_eq!(recovered_ids(&dir), ids, "{at}");
+                assert_eq!(recovered_sessions(&dir), sessions, "{at}");
+                // The next put closes off the torn fragment, which then
+                // never comes back, however it was cut.
+                let mut store = RuleStore::open(&dir, 8).unwrap();
+                store.put(entry(&later, "L")).unwrap();
+                drop(store);
+                ids.push(later.clone());
+                assert_eq!(recovered_ids(&dir), ids, "{at}");
+                assert_eq!(recovered_sessions(&dir), sessions, "{at}");
+            }
+            // A corrupt latest record loses its session: an older revision
+            // never stands in for it.
+            std::fs::write(&log, [&full[..], b"s1\t{not json}\n"].concat()).unwrap();
+            let (ids, mut sessions) = acknowledged(puts, &rules);
+            sessions.insert(1, None);
+            assert_eq!(recovered_ids(&dir), ids, "log {k}");
+            assert_eq!(recovered_sessions(&dir), sessions, "log {k}");
+            std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn session_ids_are_canonical() {
+        assert_eq!(session_number("s7"), Some(7));
+        assert_eq!(session_number("s0"), Some(0));
+        for bad in ["s+7", "s007", "s00", "s", "s-1", "7", "S7", "s7 ", "r7"] {
+            assert_eq!(session_number(bad), None, "{bad:?}");
+        }
+        // Only the canonical spelling heads a session record.
+        let dir = temp_dir("session-ids");
+        let state = session_state(7, 0).to_json();
+        let line = |id: &str| format!("{id}\t{}\n", encode(SESSION_KIND, &state));
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join(LOG_FILE),
+            line("s7") + &line("s+7") + &line("s007"),
+        )
+        .unwrap();
+        let mut store = RuleStore::open(&dir, 8).unwrap();
+        assert_eq!(recovered_sessions(&dir), BTreeMap::from([(7, Some(0))]));
+        let err = store.put_session("s+8", &state).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         std::fs::remove_dir_all(&dir).ok();
     }
 
