@@ -12,17 +12,21 @@
 //!   continuation through an accuracy threshold λₐ (0.8). Labeled cells are
 //!   weighted twice as heavily as unlabeled ones.
 //!
-//! The loop itself is inherently sequential — each iteration's candidate
-//! set depends on the previous root removal — so its parallelism lives one
-//! layer down: `DecisionTree::fit` fans per-feature split gains across
-//! `cornet-pool` and `predict_all` chunks its sample walks, both with
-//! submission-order collection, keeping enumeration output bit-identical
-//! at every thread count (`parallel_differential` pins this).
+//! The loop is sequential — each iteration's candidate set depends on the
+//! previous root removal — and runs on the calling thread. One
+//! [`Fitter`] is prepared per call: it holds the label/weight-class masks
+//! and the root split's per-feature gains, which every iteration shares
+//! because only the allowed features shrink. Each iteration then reads one
+//! prediction mask of its tree and derives the hard-constraint check and
+//! both accuracies from it by popcounts, with no per-cell loop. With the
+//! integer weights used here the result is bit-identical to the serial
+//! per-cell sums at every thread count (`parallel_differential` and the
+//! `learn_golden` candidate digest pin this).
 
 use crate::cluster::ClusterOutcome;
 use crate::predgen::PredicateSet;
 use crate::rule::{Conjunct, Rule, RuleLiteral};
-use cornet_dtree::{DecisionTree, FeatureMatrix, TreeConfig};
+use cornet_dtree::{DecisionTree, FeatureMatrix, Fitter, TreeConfig};
 use cornet_table::BitVec;
 
 /// Enumeration hyper-parameters (paper defaults in parentheses).
@@ -105,20 +109,22 @@ pub fn enumerate_rules(
         positive_class_weight: 1.0,
     };
 
+    let fitter = Fitter::new(&features, labels, &weights, &tree_config);
     let mut allowed: Vec<usize> = (0..reps.len()).collect();
     let mut candidates: Vec<Candidate> = Vec::new();
     let mut seen: Vec<String> = Vec::new();
 
     while !allowed.is_empty() && candidates.len() < config.max_rules {
-        let tree = DecisionTree::fit(&features, labels, &weights, &allowed, &tree_config, None);
+        let tree = fitter.fit(&allowed, None);
         let Some(root) = tree.root_feature() else {
             break; // degenerate tree: no split improves anything
         };
-        let accuracy = tree.weighted_accuracy(&features, labels, &weights);
+        let formatted = tree.predict_all(&features);
+        let accuracy = fitter.accuracy(&formatted);
         if accuracy < config.lambda_acc {
             break; // λₐ stop criterion
         }
-        if satisfies_hard_constraints(&tree, &features, outcome) {
+        if satisfies_hard_constraints(&formatted, outcome) {
             let rule = tree_to_rule(&tree, predicates);
             if !rule.condition.is_empty() {
                 let key = rule.canonical().to_string();
@@ -143,11 +149,10 @@ pub fn enumerate_rules(
             }])]);
             let sig = &predicates.signatures[predicates.representatives[root]];
             let exec = if negated { sig.not() } else { sig.clone() };
-            let covers = outcome.observed.iter_ones().all(|i| exec.get(i));
-            if !covers || exec.and_count(&outcome.hard_negatives) > 0 {
+            if !satisfies_hard_constraints(&exec, outcome) {
                 continue;
             }
-            let acc = weighted_agreement(&exec, labels, &weights);
+            let acc = fitter.accuracy(&exec);
             if acc < config.lambda_acc {
                 continue;
             }
@@ -166,43 +171,12 @@ pub fn enumerate_rules(
     candidates
 }
 
-/// Weighted label agreement of an execution mask.
-///
-/// The f64 sum stays serial on purpose: chunked partial sums would
-/// reassociate the additions and break bit-identity across thread counts.
-fn weighted_agreement(exec: &BitVec, labels: &BitVec, weights: &[f64]) -> f64 {
-    let mut correct = 0.0;
-    let mut total = 0.0;
-    for i in 0..labels.len() {
-        total += weights[i];
-        if exec.get(i) == labels.get(i) {
-            correct += weights[i];
-        }
-    }
-    if total == 0.0 {
-        1.0
-    } else {
-        correct / total
-    }
-}
-
-/// The hard PBE constraints: the tree must format every user example and
-/// must not format any explicit negative correction. (Unconstrained learns
-/// have an empty `hard_negatives` mask, so this degrades to the historical
-/// perfect-on-observed check.)
-fn satisfies_hard_constraints(
-    tree: &DecisionTree,
-    features: &FeatureMatrix,
-    outcome: &ClusterOutcome,
-) -> bool {
-    outcome
-        .observed
-        .iter_ones()
-        .all(|i| tree.predict_with(|f| features.get(f, i)))
-        && outcome
-            .hard_negatives
-            .iter_ones()
-            .all(|i| !tree.predict_with(|f| features.get(f, i)))
+/// The hard PBE constraints on a formatting mask: it must format every
+/// user example and must not format any explicit negative correction.
+/// (Unconstrained learns have an empty `hard_negatives` mask, so this
+/// degrades to the historical perfect-on-observed check.)
+fn satisfies_hard_constraints(formatted: &BitVec, outcome: &ClusterOutcome) -> bool {
+    outcome.observed.is_subset(formatted) && formatted.and_count(&outcome.hard_negatives) == 0
 }
 
 /// Reads a fitted tree back as a DNF rule (§3.3.1), mapping *representative*

@@ -14,10 +14,16 @@
 //! * a node budget (λₙ = 10) and depth / min-sample limits,
 //! * a tie-break hook so a ranker can choose between equal-impurity splits
 //!   (the "+ ranking" decision-tree baseline of Table 4),
-//! * DNF extraction ([`DecisionTree::to_dnf`]).
+//! * DNF extraction ([`DecisionTree::to_dnf`]),
+//! * a prepared [`Fitter`] for refits that differ only in their allowed
+//!   features, the shape of the enumeration loop.
+//!
+//! Fitting and prediction are word-parallel over the packed signatures
+//! and run on the calling thread; see the [`tree`] module for when the
+//! popcount sums are exact.
 
 pub mod matrix;
 pub mod tree;
 
 pub use matrix::FeatureMatrix;
-pub use tree::{DecisionTree, Literal, Node, TreeConfig};
+pub use tree::{DecisionTree, Fitter, Literal, Node, TreeConfig};

@@ -1,4 +1,16 @@
 //! CART-style tree induction with weighted Gini impurity.
+//!
+//! Node sample sets are [`BitVec`] masks, so partitioning a node is an AND
+//! and an AND-NOT with the split feature's signature. When every sample
+//! weight and `positive_class_weight` is an integer and the column's
+//! weight total (each weight's magnitude times
+//! `max(1, |positive_class_weight|)`, summed) is below 2^53, every partial
+//! weight sum is an exact integer in f64. Class weights and split gains
+//! are then sums of `count × weight` over a few label/weight-class masks,
+//! each count one popcount of ANDed words, and come out bit-identical to
+//! a serial per-sample loop in any order. Other weights (the baselines'
+//! 0.1 weak negatives), and integer weights with more than four distinct
+//! values, take that serial loop itself.
 
 use crate::matrix::FeatureMatrix;
 use cornet_table::BitVec;
@@ -83,6 +95,8 @@ impl DecisionTree {
     /// * `tie_break` — called with the set of equal-gain best features; must
     ///   return one of them. Defaults to the smallest index, which keeps
     ///   fitting deterministic.
+    ///
+    /// This is [`Fitter::new`] followed by one [`Fitter::fit`].
     pub fn fit(
         features: &FeatureMatrix,
         labels: &BitVec,
@@ -91,23 +105,7 @@ impl DecisionTree {
         config: &TreeConfig,
         tie_break: Option<&dyn Fn(&[usize]) -> usize>,
     ) -> DecisionTree {
-        assert_eq!(labels.len(), features.n_samples());
-        assert_eq!(weights.len(), features.n_samples());
-        let mut builder = Builder {
-            features,
-            labels,
-            weights,
-            config,
-            tie_break,
-            nodes: Vec::new(),
-            decision_nodes: 0,
-        };
-        let all: Vec<usize> = (0..features.n_samples()).collect();
-        let root = builder.grow(&all, allowed, 0);
-        DecisionTree {
-            nodes: builder.nodes,
-            root,
-        }
+        Fitter::new(features, labels, weights, config).fit(allowed, tie_break)
     }
 
     /// Predicts the class of a single sample given a feature oracle.
@@ -131,63 +129,53 @@ impl DecisionTree {
         }
     }
 
-    /// Predicts classes for every sample in a feature matrix. Per-sample
-    /// walks are independent boolean computations, so chunking them across
-    /// `cornet-pool` is trivially thread-count invariant (submission-order
-    /// collection; no float accumulation involved).
+    /// Predicts classes for every sample in a feature matrix: the OR, over
+    /// the paths to `true` leaves, of the AND of each path's signatures
+    /// (or their complements). Word-parallel, with no per-sample walk.
     pub fn predict_all(&self, features: &FeatureMatrix) -> BitVec {
         let n = features.n_samples();
         let mut out = BitVec::zeros(n);
-        if n < PAR_PREDICT_MIN {
-            for s in 0..n {
-                if self.predict_with(|f| features.get(f, s)) {
-                    out.set(s, true);
-                }
-            }
-            return out;
-        }
-        let chunk = n.div_ceil(cornet_pool::current_threads().max(1)).max(1);
-        let chunks = cornet_pool::par_chunk_map(n, chunk, |range| {
-            range
-                .map(|s| self.predict_with(|f| features.get(f, s)))
-                .collect::<Vec<bool>>()
-        });
-        let mut s = 0;
-        for chunk in chunks {
-            for p in chunk {
-                if p {
-                    out.set(s, true);
-                }
-                s += 1;
-            }
-        }
+        self.or_true_paths(self.root, BitVec::ones(n), features, &mut out);
         out
     }
 
-    /// Weighted accuracy of the tree's predictions against labels. The
-    /// predictions come from the (parallel) [`Self::predict_all`]; the f64
-    /// accumulation below stays serial so the sum order — and thus the
-    /// result's bits — never depends on the thread count.
+    fn or_true_paths(&self, at: usize, reach: BitVec, features: &FeatureMatrix, out: &mut BitVec) {
+        match &self.nodes[at] {
+            Node::Leaf { prediction, .. } => {
+                if *prediction {
+                    out.or_assign(&reach);
+                }
+            }
+            Node::Split {
+                feature,
+                left,
+                right,
+            } => {
+                let (l, r) = partition(&reach, features.feature(*feature));
+                self.or_true_paths(*left, l, features, out);
+                self.or_true_paths(*right, r, features, out);
+            }
+        }
+    }
+
+    /// Weighted accuracy of the tree's predictions against labels: the
+    /// weight of the samples it predicts correctly over the total weight.
+    /// With integer weights (see the module docs) both sums are popcounts
+    /// times weights; otherwise a serial per-sample loop. Either way the
+    /// result is bit-identical to that serial loop.
     pub fn weighted_accuracy(
         &self,
         features: &FeatureMatrix,
         labels: &BitVec,
         weights: &[f64],
     ) -> f64 {
-        let preds = self.predict_all(features);
-        let mut correct = 0.0;
-        let mut total = 0.0;
-        for s in 0..features.n_samples() {
-            total += weights[s];
-            if preds.get(s) == labels.get(s) {
-                correct += weights[s];
-            }
-        }
-        if total == 0.0 {
-            1.0
-        } else {
-            correct / total
-        }
+        let classes = weight_classes(labels, weights, 1.0);
+        agreement(
+            classes.as_deref(),
+            &self.predict_all(features),
+            labels,
+            weights,
+        )
     }
 
     /// The feature tested at the root, or `None` if the tree is a bare leaf.
@@ -257,72 +245,352 @@ impl DecisionTree {
     }
 }
 
-struct Builder<'a> {
+/// Fits trees that differ only in their `allowed` features over one fixed
+/// feature matrix, labels, weights and config — the shape of §3.3.2's
+/// enumeration, which removes one root feature per iteration.
+///
+/// Preparing holds the label/weight-class masks and the root split's gain
+/// for every feature. The root's samples, labels and weights never change,
+/// so each [`Fitter::fit`] replays the epsilon/tie selection over its own
+/// `allowed` order from those cached gains and computes gains only below
+/// the root.
+pub struct Fitter<'a> {
     features: &'a FeatureMatrix,
     labels: &'a BitVec,
     weights: &'a [f64],
     config: &'a TreeConfig,
-    tie_break: Option<&'a dyn Fn(&[usize]) -> usize>,
+    /// `Some` when the popcount kernel is exact (see the module docs).
+    classes: Option<Vec<WeightClass>>,
+    /// Gain of splitting the root on each feature; empty when the root can
+    /// never split.
+    root_gains: Vec<Option<f64>>,
+}
+
+impl<'a> Fitter<'a> {
+    /// Prepares fitting on `features`, `labels` and `weights` under
+    /// `config`.
+    pub fn new(
+        features: &'a FeatureMatrix,
+        labels: &'a BitVec,
+        weights: &'a [f64],
+        config: &'a TreeConfig,
+    ) -> Fitter<'a> {
+        let n = features.n_samples();
+        assert_eq!(labels.len(), n);
+        assert_eq!(weights.len(), n);
+        let mut fitter = Fitter {
+            features,
+            labels,
+            weights,
+            config,
+            classes: weight_classes(labels, weights, config.positive_class_weight),
+            root_gains: Vec::new(),
+        };
+        let root = fitter.node(BitVec::ones(n));
+        if !root.is_pure() && config.max_depth > 0 && config.max_decision_nodes > 0 {
+            fitter.root_gains = (0..features.n_features())
+                .map(|f| fitter.feature_gain(&root, f))
+                .collect();
+        }
+        fitter
+    }
+
+    /// Fits a tree splitting only on `allowed` features; see
+    /// [`DecisionTree::fit`] for `tie_break`.
+    pub fn fit(
+        &self,
+        allowed: &[usize],
+        tie_break: Option<&dyn Fn(&[usize]) -> usize>,
+    ) -> DecisionTree {
+        let mut builder = Builder {
+            fitter: self,
+            allowed,
+            tie_break,
+            nodes: Vec::new(),
+            decision_nodes: 0,
+        };
+        let root = builder.grow(self.node(BitVec::ones(self.features.n_samples())), 0);
+        DecisionTree {
+            nodes: builder.nodes,
+            root,
+        }
+    }
+
+    /// Weighted agreement of a prediction mask with the fitter's labels,
+    /// bit-identical to [`DecisionTree::weighted_accuracy`] of a tree that
+    /// predicts `predictions` (the positive-class multiplier plays no part).
+    pub fn accuracy(&self, predictions: &BitVec) -> f64 {
+        agreement(
+            self.classes.as_deref(),
+            predictions,
+            self.labels,
+            self.weights,
+        )
+    }
+
+    /// A node over `samples` with its class weights.
+    fn node(&self, samples: BitVec) -> NodeSamples {
+        let count = samples.count_ones();
+        let (mut pos, mut neg) = (0.0, 0.0);
+        let parts = match &self.classes {
+            Some(classes) => {
+                let mut parts = Vec::with_capacity(classes.len());
+                for class in classes {
+                    let mut mask = class.mask.clone();
+                    mask.and_assign(&samples);
+                    let c = mask.count_ones();
+                    if c == 0 {
+                        continue;
+                    }
+                    if class.positive {
+                        pos += c as f64 * class.split_weight;
+                    } else {
+                        neg += c as f64 * class.split_weight;
+                    }
+                    parts.push(WeightClass {
+                        mask,
+                        size: c,
+                        ..*class
+                    });
+                }
+                parts
+            }
+            None => {
+                for s in samples.iter_ones() {
+                    if self.labels.get(s) {
+                        pos += self.weights[s] * self.config.positive_class_weight;
+                    } else {
+                        neg += self.weights[s];
+                    }
+                }
+                Vec::new()
+            }
+        };
+        NodeSamples {
+            samples,
+            count,
+            pos,
+            neg,
+            parts,
+        }
+    }
+
+    /// Weighted-Gini gain of splitting `node` on feature `f`, or `None`
+    /// when a child would fall under `min_samples_leaf`.
+    fn feature_gain(&self, node: &NodeSamples, f: usize) -> Option<f64> {
+        let signature = self.features.feature(f);
+        let (mut count_r, mut pos_r, mut neg_r) = (0usize, 0.0, 0.0);
+        if self.classes.is_some() {
+            for part in &node.parts {
+                let c = part.mask.and_count(signature);
+                count_r += c;
+                if part.positive {
+                    pos_r += c as f64 * part.split_weight;
+                } else {
+                    neg_r += c as f64 * part.split_weight;
+                }
+            }
+        } else {
+            for s in node.samples.iter_ones() {
+                if signature.get(s) {
+                    count_r += 1;
+                    if self.labels.get(s) {
+                        pos_r += self.weights[s] * self.config.positive_class_weight;
+                    } else {
+                        neg_r += self.weights[s];
+                    }
+                }
+            }
+        }
+        let min_leaf = self.config.min_samples_leaf;
+        if node.count - count_r < min_leaf || count_r < min_leaf {
+            return None;
+        }
+        let (pos, neg) = (node.pos, node.neg);
+        let (pos_l, neg_l) = (pos - pos_r, neg - neg_r);
+        let (w_l, w_r) = (pos_l + neg_l, pos_r + neg_r);
+        let child = (w_l * gini(pos_l, neg_l) + w_r * gini(pos_r, neg_r)) / (pos + neg);
+        Some(gini(pos, neg) - child)
+    }
+}
+
+/// The samples reaching one node.
+struct NodeSamples {
+    samples: BitVec,
+    count: usize,
+    /// Total weight of positive samples (positive-class multiplier applied).
+    pos: f64,
+    /// Total weight of negative samples.
+    neg: f64,
+    /// On the popcount path, the non-empty intersections of `samples` with
+    /// each weight class.
+    parts: Vec<WeightClass>,
+}
+
+impl NodeSamples {
+    fn is_pure(&self) -> bool {
+        self.pos == 0.0 || self.neg == 0.0
+    }
+}
+
+/// The samples sharing one label and one integral weight.
+struct WeightClass {
+    positive: bool,
+    /// Each sample's weight.
+    weight: f64,
+    /// `weight`, times `positive_class_weight` for a positive class.
+    split_weight: f64,
+    mask: BitVec,
+    /// Number of samples in `mask`.
+    size: usize,
+}
+
+/// Samples with more distinct weights than this take the scalar loop:
+/// every weight class costs two popcounts per feature at every node.
+const MAX_DISTINCT_WEIGHTS: usize = 4;
+
+/// Groups the samples into [`WeightClass`]es, or `None` when the popcount
+/// kernel would not be exact: a weight or `positive_class_weight` is not
+/// an integer, the weighted total reaches 2^53, or there are more than
+/// [`MAX_DISTINCT_WEIGHTS`] distinct weights.
+fn weight_classes(
+    labels: &BitVec,
+    weights: &[f64],
+    positive_class_weight: f64,
+) -> Option<Vec<WeightClass>> {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    if positive_class_weight.fract() != 0.0 {
+        return None;
+    }
+    let scale = positive_class_weight.abs().max(1.0);
+    let n = weights.len();
+    let mut distinct: Vec<f64> = Vec::new();
+    let mut total = 0u64;
+    for &w in weights {
+        let magnitude = w.abs() * scale;
+        if w.fract() != 0.0 || magnitude >= EXACT {
+            return None;
+        }
+        total += magnitude as u64;
+        if total >= 1 << 53 {
+            return None;
+        }
+        if !distinct.contains(&w) {
+            if distinct.len() == MAX_DISTINCT_WEIGHTS {
+                return None;
+            }
+            distinct.push(w);
+        }
+    }
+    let mut classes: Vec<WeightClass> = Vec::with_capacity(2 * distinct.len());
+    for &weight in &distinct {
+        for positive in [true, false] {
+            classes.push(WeightClass {
+                positive,
+                weight,
+                split_weight: if positive {
+                    weight * positive_class_weight
+                } else {
+                    weight
+                },
+                mask: BitVec::zeros(n),
+                size: 0,
+            });
+        }
+    }
+    for (s, &w) in weights.iter().enumerate() {
+        let positive = labels.get(s);
+        let class = classes
+            .iter_mut()
+            .find(|c| c.weight == w && c.positive == positive)
+            .expect("every weight has a class per label");
+        class.mask.set(s, true);
+        class.size += 1;
+    }
+    classes.retain(|c| c.size > 0);
+    Some(classes)
+}
+
+/// Weighted agreement of `predictions` with `labels`: popcounts per weight
+/// class when `classes` is given, else the serial per-sample loop.
+fn agreement(
+    classes: Option<&[WeightClass]>,
+    predictions: &BitVec,
+    labels: &BitVec,
+    weights: &[f64],
+) -> f64 {
+    let (mut correct, mut total) = (0.0, 0.0);
+    match classes {
+        Some(classes) => {
+            for class in classes {
+                let hits = class.mask.and_count(predictions);
+                let agree = if class.positive {
+                    hits
+                } else {
+                    class.size - hits
+                };
+                total += class.size as f64 * class.weight;
+                correct += agree as f64 * class.weight;
+            }
+        }
+        None => {
+            for (s, &w) in weights.iter().enumerate() {
+                total += w;
+                if predictions.get(s) == labels.get(s) {
+                    correct += w;
+                }
+            }
+        }
+    }
+    if total == 0.0 {
+        1.0
+    } else {
+        correct / total
+    }
+}
+
+/// Splits `samples` by `signature` into (`samples ∧ ¬signature`,
+/// `samples ∧ signature`): the left (feature false) and right children.
+fn partition(samples: &BitVec, signature: &BitVec) -> (BitVec, BitVec) {
+    let mut right = samples.clone();
+    right.and_assign(signature);
+    let mut left = samples.clone();
+    left.xor_assign(&right);
+    (left, right)
+}
+
+/// One fit's growing state over a prepared [`Fitter`].
+struct Builder<'f, 'a> {
+    fitter: &'f Fitter<'a>,
+    allowed: &'f [usize],
+    tie_break: Option<&'f dyn Fn(&[usize]) -> usize>,
     nodes: Vec<Node>,
     decision_nodes: usize,
 }
 
-impl Builder<'_> {
-    /// Weight of a sample including the positive-class multiplier.
-    fn weight(&self, s: usize) -> f64 {
-        let w = self.weights[s];
-        if self.labels.get(s) {
-            w * self.config.positive_class_weight
+impl Builder<'_, '_> {
+    fn grow(&mut self, node: NodeSamples, depth: usize) -> usize {
+        let config = self.fitter.config;
+        let (pos, neg) = (node.pos, node.neg);
+        let split = if node.is_pure()
+            || depth >= config.max_depth
+            || node.count < config.min_samples_split
+            || self.decision_nodes >= config.max_decision_nodes
+            || self.allowed.is_empty()
+        {
+            None
         } else {
-            w
-        }
-    }
-
-    fn class_weights(&self, samples: &[usize]) -> (f64, f64) {
-        let mut pos = 0.0;
-        let mut neg = 0.0;
-        for &s in samples {
-            if self.labels.get(s) {
-                pos += self.weight(s);
-            } else {
-                neg += self.weight(s);
-            }
-        }
-        (pos, neg)
-    }
-
-    fn grow(&mut self, samples: &[usize], allowed: &[usize], depth: usize) -> usize {
-        let (pos, neg) = self.class_weights(samples);
-        let make_leaf = |nodes: &mut Vec<Node>| {
-            nodes.push(Node::Leaf {
+            self.best_split(&node, depth)
+        };
+        let Some(feature) = split else {
+            self.nodes.push(Node::Leaf {
                 prediction: pos > neg,
                 pos_weight: pos,
                 neg_weight: neg,
             });
-            nodes.len() - 1
+            return self.nodes.len() - 1;
         };
-        if pos == 0.0
-            || neg == 0.0
-            || depth >= self.config.max_depth
-            || samples.len() < self.config.min_samples_split
-            || self.decision_nodes >= self.config.max_decision_nodes
-            || allowed.is_empty()
-        {
-            return make_leaf(&mut self.nodes);
-        }
-        let Some(feature) = self.best_split(samples, allowed, pos, neg) else {
-            return make_leaf(&mut self.nodes);
-        };
-        // Partition.
-        let mut left = Vec::new();
-        let mut right = Vec::new();
-        for &s in samples {
-            if self.features.get(feature, s) {
-                right.push(s);
-            } else {
-                left.push(s);
-            }
-        }
+        let (left, right) = partition(&node.samples, self.fitter.features.feature(feature));
         self.decision_nodes += 1;
         let node_idx = self.nodes.len();
         self.nodes.push(Node::Split {
@@ -330,8 +598,8 @@ impl Builder<'_> {
             left: usize::MAX,
             right: usize::MAX,
         });
-        let left_idx = self.grow(&left, allowed, depth + 1);
-        let right_idx = self.grow(&right, allowed, depth + 1);
+        let left_idx = self.grow(self.fitter.node(left), depth + 1);
+        let right_idx = self.grow(self.fitter.node(right), depth + 1);
         if let Node::Split {
             left: l, right: r, ..
         } = &mut self.nodes[node_idx]
@@ -346,52 +614,24 @@ impl Builder<'_> {
     /// `min_samples_leaf` and the tie-break hook. Returns `None` when no
     /// valid split improves impurity.
     ///
-    /// Per-feature gains are independent, so they fan out over
-    /// `cornet-pool` (via [`feature_gain`], which captures only `Sync`
-    /// state — the `&dyn Fn` tie-break hook cannot cross threads). The
-    /// epsilon/tie selection is order-dependent and replays **serially**
-    /// over the gains in `allowed` order, which `par_map`'s
-    /// submission-order collection guarantees — so the chosen feature is
-    /// identical to the historical all-serial loop at every thread count.
-    fn best_split(
-        &self,
-        samples: &[usize],
-        allowed: &[usize],
-        pos: f64,
-        neg: f64,
-    ) -> Option<usize> {
-        let total = pos + neg;
-        let parent_gini = gini(pos, neg);
-        let (features, labels, weights) = (self.features, self.labels, self.weights);
-        let pcw = self.config.positive_class_weight;
-        let msl = self.config.min_samples_leaf;
-        let compute = |f: usize| {
-            feature_gain(
-                features,
-                labels,
-                weights,
-                pcw,
-                msl,
-                samples,
-                pos,
-                neg,
-                parent_gini,
-                total,
-                f,
-            )
-        };
-        let gains: Vec<Option<f64>> = if allowed.len() * samples.len() >= PAR_SPLIT_MIN_WORK {
-            cornet_pool::par_map(allowed.len(), |i| compute(allowed[i]))
-        } else {
-            allowed.iter().map(|&f| compute(f)).collect()
-        };
+    /// Gains are a few popcounts per feature on integer weights (see the
+    /// module docs), so they are computed serially on the calling thread;
+    /// the root's come from the [`Fitter`]'s cache. The epsilon/tie
+    /// selection replays in `allowed` order, so the chosen feature does
+    /// not depend on which path computed the gains.
+    fn best_split(&self, node: &NodeSamples, depth: usize) -> Option<usize> {
         // Zero-gain splits are allowed (as in sklearn): XOR-shaped labels
         // have no impurity-reducing split at the root yet become separable
         // one level down. Strictly negative gains are rejected below.
         let mut best_gain = f64::NEG_INFINITY;
         let mut best: Vec<usize> = Vec::new();
-        for (&f, gain) in allowed.iter().zip(&gains) {
-            let Some(gain) = *gain else { continue };
+        for &f in self.allowed {
+            let gain = if depth == 0 {
+                self.fitter.root_gains[f]
+            } else {
+                self.fitter.feature_gain(node, f)
+            };
+            let Some(gain) = gain else { continue };
             if gain > best_gain + 1e-12 {
                 best_gain = gain;
                 best.clear();
@@ -411,56 +651,6 @@ impl Builder<'_> {
             },
         }
     }
-}
-
-/// Below this `allowed × samples` product a split evaluation stays on the
-/// calling thread — fan-out overhead would swamp the arithmetic.
-const PAR_SPLIT_MIN_WORK: usize = 4096;
-
-/// Minimum sample count before [`DecisionTree::predict_all`] fans out.
-const PAR_PREDICT_MIN: usize = 256;
-
-/// Weighted-Gini gain of splitting `samples` on feature `f` — the body of
-/// [`Builder::best_split`]'s per-feature loop as a free function over
-/// `Sync` state only, so it can run on pool workers. Returns `None` when a
-/// child would fall under `min_samples_leaf`. Each gain is a pure function
-/// of its own feature column (serial f64 accumulation in sample order), so
-/// evaluation order across features cannot change any value.
-#[allow(clippy::too_many_arguments)]
-fn feature_gain(
-    features: &FeatureMatrix,
-    labels: &BitVec,
-    weights: &[f64],
-    positive_class_weight: f64,
-    min_samples_leaf: usize,
-    samples: &[usize],
-    pos: f64,
-    neg: f64,
-    parent_gini: f64,
-    total: f64,
-    f: usize,
-) -> Option<f64> {
-    let mut pos_r = 0.0;
-    let mut neg_r = 0.0;
-    let mut count_r = 0usize;
-    for &s in samples {
-        if features.get(f, s) {
-            count_r += 1;
-            if labels.get(s) {
-                pos_r += weights[s] * positive_class_weight;
-            } else {
-                neg_r += weights[s];
-            }
-        }
-    }
-    let count_l = samples.len() - count_r;
-    if count_l < min_samples_leaf || count_r < min_samples_leaf {
-        return None;
-    }
-    let (pos_l, neg_l) = (pos - pos_r, neg - neg_r);
-    let (w_l, w_r) = (pos_l + neg_l, pos_r + neg_r);
-    let child = (w_l * gini(pos_l, neg_l) + w_r * gini(pos_r, neg_r)) / total;
-    Some(parent_gini - child)
 }
 
 fn gini(pos: f64, neg: f64) -> f64 {

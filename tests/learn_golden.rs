@@ -12,7 +12,14 @@
 //! clean 3-class set and a 2-class set with one abstaining class), a
 //! cached re-learn, `/score` by id for a rule and for a set, and a session
 //! corrected twice, then resumed and corrected again after a restart.
+//!
+//! One more case pins the learner below the service: a digest of every
+//! ranked candidate of the first 60 tasks of a fixed-seed corpus, at one
+//! and at four pool threads.
 
+use cornet_repro::core::learner::Cornet;
+use cornet_repro::corpus::{generate_corpus, CorpusConfig};
+use cornet_repro::pool::with_threads;
 use cornet_repro::serde::{to_string, ToJson};
 use cornet_repro::serve::service::{
     ClassRequest, CornetService, LearnRequest, LearnResponse, ScoreRequest, ServiceConfig,
@@ -291,4 +298,49 @@ fn session_corrected_twice_then_resumed_after_a_restart() {
         r##"{"session_id":"s1","revision":3,"n_cells":6,"positives":[0,2,5],"negatives":[3,4],"result":{"rule_id":"r40457d711f1bf69d6eddf80bb6ddbf88","rule":{"cond":[[{"pred":{"p":"text","op":"starts_with","pattern":"rw-"},"neg":false},{"pred":{"p":"text","op":"equals","pattern":"RW-131-T"},"neg":true}]],"format":1},"rule_text":"AND(TextStartsWith(\"rw-\"),NOT(TextEquals(\"RW-131-T\")))","formula":"AND(AND(ISTEXT(A1),LEFT(A1,3)=\"rw-\"),NOT(A1=\"RW-131-T\"))","score":0.5805423048206597,"matches":[0,2,5],"cached":false,"consistent":true}}"##,
     );
     assert_eq!(restarted.learns_performed(), 1);
+}
+
+/// FNV-1a over every ranked candidate of each task: its canonical rule,
+/// its `cluster_accuracy` bits and its score bits, in rank order, or the
+/// error of a task that learns nothing.
+fn candidate_digest(learner: &Cornet, tasks: &[cornet_repro::corpus::Task]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |bytes: &[u8]| {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for (i, task) in tasks.iter().enumerate() {
+        fold(format!("task {i}\n").as_bytes());
+        match learner.learn(&task.cells, &task.examples(3)) {
+            Ok(outcome) => {
+                for c in &outcome.candidates {
+                    fold(c.rule.canonical().to_string().as_bytes());
+                    fold(&c.cluster_accuracy.to_bits().to_le_bytes());
+                    fold(&c.score.to_bits().to_le_bytes());
+                }
+            }
+            Err(e) => fold(e.to_string().as_bytes()),
+        }
+    }
+    hash
+}
+
+#[test]
+fn enumeration_digest_over_sixty_corpus_tasks() {
+    let corpus = generate_corpus(&CorpusConfig {
+        seed: 20,
+        n_tasks: 60,
+        ..CorpusConfig::default()
+    });
+    let learner = Cornet::with_default_ranker();
+    for threads in [1, 4] {
+        let digest = with_threads(threads, || candidate_digest(&learner, &corpus.tasks));
+        assert_eq!(
+            format!("{digest:016x}"),
+            "ea1ab00663f558b7",
+            "candidate digest at {threads} threads"
+        );
+    }
 }
